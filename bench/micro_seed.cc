@@ -124,6 +124,55 @@ BM_IndexLookupFlat(benchmark::State &state)
 }
 BENCHMARK(BM_IndexLookupFlat);
 
+/**
+ * The lookup stream a GenAx segment sees from reads that belong
+ * elsewhere: a 0.5 Mbp segment index (one of eight over a 4 Mbp
+ * genome, k = 12) probed with every k-mer of reads drawn from another
+ * genome, so nearly every key is absent. Arg 1 tests the presence
+ * filter before each lookup, as SmemEngine does on a filtered index;
+ * arg 0 probes the table for every key. The `time` column is
+ * ns/lookup — the kernel-level cost behind the seeding share of an
+ * offline-genax run.
+ */
+void
+BM_SegmentLookupForeignReads(benchmark::State &state)
+{
+    static const FlatKmerIndex segment = [] {
+        RefGenConfig cfg;
+        cfg.length = 512 * 1024;
+        cfg.seed = 57;
+        return FlatKmerIndex(generateReference(cfg), 12);
+    }();
+    static const std::vector<u64> keys = [] {
+        std::vector<u64> out;
+        for (const auto &r : benchReads())
+            for (size_t off = 0; off + 12 <= r.seq.size(); ++off)
+                out.push_back(segment.packKmer(r.seq, off));
+        return out;
+    }();
+    const bool filtered = state.range(0) != 0;
+    size_t i = 0;
+    u64 hits = 0;
+    for (auto _ : state) {
+        const auto found = filtered && !segment.mayContain(keys[i])
+                               ? std::span<const u32>{}
+                               : segment.lookup(keys[i]);
+        benchmark::DoNotOptimize(found.data());
+        hits += found.empty() ? 0 : 1;
+        i = i + 1 == keys.size() ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["present_frac"] =
+        static_cast<double>(hits) /
+        static_cast<double>(std::max<u64>(1, state.iterations()));
+    state.counters["filter_kb"] =
+        filtered ? static_cast<double>(
+                       segment.presenceFilterSpan().size_bytes()) /
+                       1024.0
+                 : 0.0;
+}
+BENCHMARK(BM_SegmentLookupForeignReads)->ArgName("filter")->Arg(0)->Arg(1);
+
 void
 BM_FlatIndexBuild(benchmark::State &state)
 {

@@ -118,6 +118,8 @@ class CamModel
 
         // Two-pointer merge over the sorted inputs.
         out.clear();
+        if (hits.empty())
+            return; // accounted above, like any other intersection
         out.reserve(std::min(candidates.size(), hits.size()));
         size_t ci = 0, hi = 0;
         while (ci < candidates.size() && hi < hits.size()) {

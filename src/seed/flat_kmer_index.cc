@@ -26,6 +26,7 @@ FlatKmerIndex::FlatKmerIndex(const Seq &ref, u32 k)
         // Even the empty table needs one probe-able slot.
         _table.assign(2, Entry{});
         _mask = 1;
+        _filter = presenceFilterFor(0, k);
         bindOwned();
         return;
     }
@@ -78,11 +79,17 @@ FlatKmerIndex::FlatKmerIndex(const Seq &ref, u32 k)
     // and slots are u32-indexed, and keys are distinct across
     // occupied slots, so this orders exactly like the old indirect
     // sort while the comparisons stay out of the table.
+    // The same walk fills the presence filter.
+    _filter = presenceFilterFor(_distinct, k);
     std::vector<u64> occupied;
     occupied.reserve(_distinct);
-    for (u32 s = 0; s < _table.size(); ++s)
-        if (_table[s].key != kEmptyKey)
-            occupied.push_back(_table[s].key << 32 | s);
+    for (u32 s = 0; s < _table.size(); ++s) {
+        if (_table[s].key == kEmptyKey)
+            continue;
+        occupied.push_back(_table[s].key << 32 | s);
+        if (!_filter.empty())
+            presenceFilterAdd(_filter, _table[s].key);
+    }
     std::sort(occupied.begin(), occupied.end());
     u32 offset = 0;
     for (const u64 packed : occupied) {
@@ -114,8 +121,10 @@ FlatKmerIndex::FlatKmerIndex(const FlatKmerIndex &other)
     : _k(other._k), _segLen(other._segLen), _maxHits(other._maxHits),
       _distinct(other._distinct), _mask(other._mask),
       _table(other._table), _positions(other._positions),
-      _tablePtr(other._tablePtr), _slots(other._slots),
-      _posPtr(other._posPtr), _posCount(other._posCount)
+      _filter(other._filter), _tablePtr(other._tablePtr),
+      _slots(other._slots), _posPtr(other._posPtr),
+      _posCount(other._posCount), _filterPtr(other._filterPtr),
+      _filterMask(other._filterMask)
 {
     if (!other.borrowed())
         bindOwned();
@@ -132,10 +141,13 @@ FlatKmerIndex::operator=(const FlatKmerIndex &other)
         _mask = other._mask;
         _table = other._table;
         _positions = other._positions;
+        _filter = other._filter;
         _tablePtr = other._tablePtr;
         _slots = other._slots;
         _posPtr = other._posPtr;
         _posCount = other._posCount;
+        _filterPtr = other._filterPtr;
+        _filterMask = other._filterMask;
         if (!other.borrowed())
             bindOwned();
     }
@@ -145,12 +157,16 @@ FlatKmerIndex::operator=(const FlatKmerIndex &other)
 FlatKmerIndex
 FlatKmerIndex::view(std::span<const Entry> table,
                     std::span<const u32> positions, u32 k, u64 seg_len,
-                    u32 max_hits, u64 distinct)
+                    u32 max_hits, u64 distinct,
+                    std::span<const u64> filter)
 {
     GENAX_CHECK(k >= 1 && k <= 13, "k out of supported range: ", k);
     GENAX_CHECK(table.size() >= 2 && std::has_single_bit(table.size()),
                 "view table size must be a power of two >= 2, got ",
                 table.size());
+    GENAX_CHECK(filter.empty() || std::has_single_bit(filter.size()),
+                "presence filter size must be a power of two, got ",
+                filter.size());
     FlatKmerIndex idx;
     idx._k = k;
     idx._segLen = seg_len;
@@ -161,7 +177,21 @@ FlatKmerIndex::view(std::span<const Entry> table,
     idx._slots = table.size();
     idx._posPtr = positions.data();
     idx._posCount = positions.size();
+    idx.bindFilter(filter);
     return idx;
+}
+
+std::vector<u64>
+FlatKmerIndex::presenceFilterFor(u64 distinct, u32 k)
+{
+    // Selectivity rule: the filter pays only where most probes miss.
+    // A dense index (a whole 4 Mbp genome at k = 12) would carry
+    // megabytes of filter for no speed.
+    if (8 * distinct > (u64{1} << (2 * k)))
+        return {};
+    // 8 bits per distinct key: distinct / 8 words of 64 bits.
+    const u64 words = std::max<u64>(1, (distinct + 7) / 8);
+    return std::vector<u64>(std::bit_ceil(words), 0);
 }
 
 } // namespace genax

@@ -21,6 +21,21 @@
  * line so batched offset loops (SmemEngine's exact-match path) can
  * overlap the dependent loads of consecutive lookups.
  *
+ * Presence filter: when the index is selective — at most one key in
+ * eight of the 4^k key space occurs (8 * distinct <= 4^k, e.g. a
+ * 0.5 Mbp GenAx segment at k = 12) — it also carries a read-only
+ * blocked Bloom filter, one 64-bit word per key with three bits from
+ * one multiply-hash, sized at 8 bits per distinct key (a power of two
+ * of words). mayContain() answers a key the filter rules out without
+ * touching the table: most seeding probes ask a segment for a k-mer
+ * it lacks, and a miss in a 16 MB table costs several times a hit in
+ * a 512 KB bitmap. A whole-genome index is not selective and carries
+ * no filter. The filter is host state only: it is rebuilt from the
+ * table (owning constructor, snapshot open), never serialized, and
+ * changes no hit list. lookup(), lookupCount() and lookupPrefetch()
+ * stay pure table probes, so an index without a filter runs exactly
+ * the unfiltered code; callers test mayContain() first.
+ *
  * All hardware footprint reporting (indexTableBytes,
  * positionTableBytes) still models the paper's dense SRAM tables —
  * the DRAM streaming model and Table II must not change because the
@@ -49,6 +64,10 @@ class FlatKmerIndexMapping;
  *  stream can never be probed by this build's lookup(), so the
  *  constant is part of the format identity. */
 inline constexpr u64 kFlatIndexHashSeed = 0x9e3779b97f4a7c15ULL;
+
+/** Odd multiplier of the presence filter's one multiply-hash. Not
+ *  part of any on-disk format (filters are rebuilt at open). */
+inline constexpr u64 kPresenceHashMul = 0xd6e8feb86659fd93ULL;
 
 /** Open-addressing k-mer index for one reference segment. */
 class FlatKmerIndex
@@ -80,11 +99,30 @@ class FlatKmerIndex
      * the building constructor produces, and that every occupied
      * entry's postings extent lies inside `positions` (the snapshot
      * loader validates all of this once at open, after the checksum
-     * walk).
+     * walk). `filter` is the index's presence filter, built over the
+     * same table by presenceFilterFor()/presenceFilterAdd(); empty
+     * means no filter (mayContain() is always true).
      */
     static FlatKmerIndex view(std::span<const Entry> table,
                               std::span<const u32> positions, u32 k,
-                              u64 seg_len, u32 max_hits, u64 distinct);
+                              u64 seg_len, u32 max_hits, u64 distinct,
+                              std::span<const u64> filter = {});
+
+    /**
+     * Zeroed presence-filter words for an index of `distinct` keys at
+     * k-mer length k, or an empty vector when a filter would not be
+     * selective (8 * distinct > 4^k). Every key of the table must
+     * then be added with presenceFilterAdd().
+     */
+    static std::vector<u64> presenceFilterFor(u64 distinct, u32 k);
+
+    /** Set `key`'s bits in filter words from presenceFilterFor(). */
+    static void
+    presenceFilterAdd(std::span<u64> words, u64 key)
+    {
+        const u64 h = key * kPresenceHashMul;
+        words[filterWord(h, words.size() - 1)] |= filterBits(h);
+    }
 
     /** True when this index borrows its storage (a snapshot view)
      *  rather than owning it. */
@@ -111,6 +149,29 @@ class FlatKmerIndex
     positionsSpan() const
     {
         return {_posPtr, _posCount};
+    }
+
+    /** The presence-filter words (empty when the index has none). */
+    std::span<const u64>
+    presenceFilterSpan() const
+    {
+        return {_filterPtr, _filterPtr == nullptr ? 0 : _filterMask + 1};
+    }
+
+    /** True when the index carries a presence filter. */
+    bool hasPresenceFilter() const { return _filterPtr != nullptr; }
+
+    /** False only when `kmer` certainly does not occur; always true
+     *  without a filter. lookup() itself never consults the filter;
+     *  callers check this first when hasPresenceFilter(). */
+    bool
+    mayContain(u64 kmer) const
+    {
+        if (_filterPtr == nullptr)
+            return true;
+        const u64 h = kmer * kPresenceHashMul;
+        const u64 bits = filterBits(h);
+        return (_filterPtr[filterWord(h, _filterMask)] & bits) == bits;
     }
 
     /** Sorted occurrence positions of a packed k-mer. */
@@ -193,13 +254,14 @@ class FlatKmerIndex
     /** Distinct k-mers present in the segment. */
     u64 distinctKmers() const { return _distinct; }
 
-    /** Actual host memory footprint (table + postings), for the
-     *  layout microbenches. A borrowed view reports the bytes it
-     *  aliases, not bytes it malloc'd. */
+    /** Actual host memory footprint (table + postings + presence
+     *  filter), for the layout microbenches. A borrowed view reports
+     *  the bytes it aliases, not bytes it malloc'd. */
     u64
     hostBytes() const
     {
-        return _slots * sizeof(Entry) + _posCount * sizeof(u32);
+        return _slots * sizeof(Entry) + _posCount * sizeof(u32) +
+               presenceFilterSpan().size_bytes();
     }
 
     /** Table entries examined by lookup(kmer) — the probe-chain
@@ -262,6 +324,31 @@ class FlatKmerIndex
         _slots = _table.size();
         _posPtr = _positions.data();
         _posCount = _positions.size();
+        bindFilter(_filter);
+    }
+
+    void
+    bindFilter(std::span<const u64> words)
+    {
+        _filterPtr = words.empty() ? nullptr : words.data();
+        _filterMask = words.empty() ? 0 : words.size() - 1;
+    }
+
+    // Presence-filter hash: the word comes from the product's top 20
+    // bits (a selective filter has at most 4^13 / 64 = 2^20 words),
+    // the three bit indexes from the 18 bits below them.
+    static u64
+    filterWord(u64 h, u64 mask)
+    {
+        return (h >> 44) & mask;
+    }
+
+    static u64
+    filterBits(u64 h)
+    {
+        return (u64{1} << ((h >> 26) & 63)) |
+               (u64{1} << ((h >> 32) & 63)) |
+               (u64{1} << ((h >> 38) & 63));
     }
 
     u64
@@ -283,12 +370,15 @@ class FlatKmerIndex
     std::vector<Entry> _table;
     std::vector<u32> _positions; //!< contiguous postings, per-key
                                  //!< extents in ascending order
+    std::vector<u64> _filter;    //!< presence filter (may be empty)
     // All accessors go through these; they alias the vectors above
     // when owning, or external snapshot storage when borrowed.
     const Entry *_tablePtr = nullptr;
     u64 _slots = 0;
     const u32 *_posPtr = nullptr;
     u64 _posCount = 0;
+    const u64 *_filterPtr = nullptr; //!< null: no presence filter
+    u64 _filterMask = 0;             //!< filter words - 1
 };
 
 } // namespace genax

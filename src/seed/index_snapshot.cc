@@ -67,23 +67,36 @@ snapshotError(const std::string &path, const std::string &what)
  * Structural validation of an index table against its postings
  * array: the store checksums already rule out on-disk corruption, so
  * this is defense-in-depth against writer bugs and version skew —
- * everything lookup() would otherwise trust blindly.
+ * everything lookup() would otherwise trust blindly. The same walk
+ * fills `filter` with the table's presence filter (left empty when
+ * the index is not selective; see FlatKmerIndex::presenceFilterFor).
  */
 Status
 validateTable(const std::string &path, const std::string &what,
               std::span<const FlatKmerIndex::Entry> table,
-              u64 positions, u64 distinct, u32 max_hits)
+              u64 positions, u64 distinct, u32 max_hits, u32 k,
+              std::vector<u64> &filter)
 {
     if (table.size() < 2 || !std::has_single_bit(table.size()))
         return snapshotError(
             path, what + ": table size " +
                       std::to_string(table.size()) +
                       " is not a power of two >= 2");
+    // The recorded count sizes the filter, so it must fit the table
+    // before it sizes anything.
+    if (distinct > table.size())
+        return snapshotError(
+            path, what + ": recorded distinct count " +
+                      std::to_string(distinct) + " exceeds the " +
+                      std::to_string(table.size()) + " table slots");
+    filter = FlatKmerIndex::presenceFilterFor(distinct, k);
     u64 occupied = 0;
     for (const FlatKmerIndex::Entry &e : table) {
         if (e.key == FlatKmerIndex::kEmptyKey)
             continue;
         ++occupied;
+        if (!filter.empty())
+            FlatKmerIndex::presenceFilterAdd(filter, e.key);
         if (u64{e.offset} + e.count > positions)
             return snapshotError(
                 path, what + ": postings extent out of bounds");
@@ -173,6 +186,7 @@ struct ParsedFlatIndex
     FlatIndexMeta meta;
     std::span<const FlatKmerIndex::Entry> table;
     std::span<const u32> positions;
+    std::vector<u64> filter; //!< built during validation, owned
 };
 
 StatusOr<ParsedFlatIndex>
@@ -199,7 +213,8 @@ parseFlatIndex(const StoreFile &store)
                              "recorded position count");
     GENAX_TRY(validateTable(store.path(), "index", out.table,
                             out.positions.size(), out.meta.distinct,
-                            out.meta.maxHits));
+                            out.meta.maxHits, out.meta.fp.k,
+                            out.filter));
     return out;
 }
 
@@ -234,7 +249,7 @@ FlatKmerIndex::load(const std::string &path,
     GENAX_TRY_ASSIGN(
         const StoreFile store,
         StoreFile::open(path, kFlatIndexKind, /*prefer_mmap=*/false));
-    GENAX_TRY_ASSIGN(const ParsedFlatIndex p, parseFlatIndex(store));
+    GENAX_TRY_ASSIGN(ParsedFlatIndex p, parseFlatIndex(store));
     if (expect != nullptr)
         GENAX_TRY(checkFingerprint(p.meta.fp, *expect)
                       .withContext("snapshot " + path));
@@ -246,6 +261,7 @@ FlatKmerIndex::load(const std::string &path,
     idx._mask = p.table.size() - 1;
     idx._table.assign(p.table.begin(), p.table.end());
     idx._positions.assign(p.positions.begin(), p.positions.end());
+    idx._filter = std::move(p.filter);
     idx.bindOwned();
     return idx;
 }
@@ -257,18 +273,19 @@ FlatKmerIndex::mapView(const std::string &path,
     GENAX_TRY_ASSIGN(
         StoreFile store,
         StoreFile::open(path, kFlatIndexKind, /*prefer_mmap=*/true));
-    GENAX_TRY_ASSIGN(const ParsedFlatIndex p, parseFlatIndex(store));
+    GENAX_TRY_ASSIGN(ParsedFlatIndex p, parseFlatIndex(store));
     if (expect != nullptr)
         GENAX_TRY(checkFingerprint(p.meta.fp, *expect)
                       .withContext("snapshot " + path));
     FlatKmerIndexMapping m;
-    // The spans stay valid across the move: both the mapping and the
-    // owned buffer keep their addresses.
+    // The spans stay valid across the moves: the mapping, the owned
+    // buffer and the filter vector all keep their addresses.
     m._store = std::move(store);
     m._fp = p.meta.fp;
+    m._filter = std::move(p.filter);
     m._view = FlatKmerIndex::view(p.table, p.positions, p.meta.fp.k,
                                   p.meta.segLen, p.meta.maxHits,
-                                  p.meta.distinct);
+                                  p.meta.distinct, m._filter);
     return m;
 }
 
@@ -447,8 +464,8 @@ IndexSnapshot::open(const std::string &path, bool prefer_mmap)
                              "the recorded position count");
         GENAX_TRY(validateTable(path, what, s.table,
                                 s.positions.size(), s.distinct,
-                                s.maxHits));
-        snap._segs.push_back(s);
+                                s.maxHits, meta.fp.k, s.filter));
+        snap._segs.push_back(std::move(s));
     }
     return snap;
 }
@@ -466,7 +483,7 @@ IndexSnapshot::segmentView(u64 i) const
                 " of ", _segs.size());
     const SegRef &s = _segs[i];
     return FlatKmerIndex::view(s.table, s.positions, _fp.k, s.length,
-                               s.maxHits, s.distinct);
+                               s.maxHits, s.distinct, s.filter);
 }
 
 } // namespace genax

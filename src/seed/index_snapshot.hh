@@ -99,6 +99,7 @@ class FlatKmerIndexMapping
 
     StoreFile _store;
     IndexFingerprint _fp;
+    std::vector<u64> _filter; //!< presence filter built at open
     std::optional<FlatKmerIndex> _view;
 };
 
@@ -160,8 +161,9 @@ class IndexSnapshot
     u64 segmentStart(u64 i) const { return _segs[i].start; }
     u64 segmentLength(u64 i) const { return _segs[i].length; }
 
-    /** Borrowed FlatKmerIndex over segment i's on-disk tables —
-     *  cheap (no allocation), valid while this snapshot lives. */
+    /** Borrowed FlatKmerIndex over segment i's on-disk tables and
+     *  the presence filter open() built for it — cheap (no
+     *  allocation), valid while this snapshot lives. */
     FlatKmerIndex segmentView(u64 i) const;
 
   private:
@@ -175,6 +177,7 @@ class IndexSnapshot
         u64 distinct = 0;
         std::span<const FlatKmerIndex::Entry> table;
         std::span<const u32> positions;
+        std::vector<u64> filter; //!< presence filter built at open
     };
 
     StoreFile _store;

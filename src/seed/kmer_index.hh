@@ -51,6 +51,12 @@ class KmerIndex
         return _offsets[kmer + 1] - _offsets[kmer];
     }
 
+    /** Interface parity with FlatKmerIndex's presence filter: the
+     *  dense table answers every key in one step, so it has no
+     *  filter and never rules a key out. */
+    bool mayContain(u64 /*kmer*/) const { return true; }
+    bool hasPresenceFilter() const { return false; }
+
     /** Prefetch the key's offset line ahead of lookup() (interface
      *  parity with FlatKmerIndex; the dense table needs it less). */
     void

@@ -8,9 +8,16 @@
  * -DGENAX_KMER_INDEX_ORACLE=ON substitutes the dense CSR KmerIndex so
  * the whole test suite re-runs against the original layout — the
  * equivalence oracle for the flat table. Both types expose the same
- * lookup interface (lookup / lookupCount / lookupPrefetch / packKmer
- * / maxHitListSize / footprints) and report identical hit lists, so
- * the choice changes host speed and memory only, never output.
+ * lookup interface (lookup / lookupCount / lookupPrefetch /
+ * hasPresenceFilter / mayContain / packKmer / maxHitListSize /
+ * footprints) and report identical hit lists, so the choice changes
+ * host speed and memory only, never output. mayContain(key) is false
+ * only for a key that certainly does not occur: the flat index
+ * answers it from its presence filter when hasPresenceFilter(), the
+ * dense index has none and always says true. lookup() never consults
+ * the filter; a caller checks mayContain() first when the index has
+ * one, and may skip work for a ruled-out key, but must still charge
+ * the lookup the hardware model counts.
  *
  * The dense KmerIndex remains a first-class type regardless of the
  * toggle: genax_index files keep its on-disk format, and the

@@ -31,6 +31,7 @@ SmemEngine::primeCandidates(std::span<const u32> hits, u32 offset)
     return out;
 }
 
+template <bool kFiltered>
 PosList
 SmemEngine::tryExactMatch(const Seq &read, std::span<const u64> keys)
 {
@@ -50,7 +51,8 @@ SmemEngine::tryExactMatch(const Seq &read, std::span<const u64> keys)
     // so the dependent table loads of consecutive lookups overlap
     // instead of serializing on cache misses.
     for (u32 off : offsets)
-        _index.lookupPrefetch(keys[off]);
+        if (!kFiltered || _index.mayContain(keys[off]))
+            _index.lookupPrefetch(keys[off]);
 
     struct Lookup
     {
@@ -60,7 +62,7 @@ SmemEngine::tryExactMatch(const Seq &read, std::span<const u64> keys)
     ArenaVector<Lookup> lookups{ArenaAllocator<Lookup>(&_arena)};
     lookups.reserve(offsets.size());
     for (u32 off : offsets) {
-        const auto hits = _index.lookup(keys[off]);
+        const auto hits = find<kFiltered>(keys[off]);
         ++_stats.indexLookups;
         if (hits.empty())
             return PosList{
@@ -84,6 +86,7 @@ SmemEngine::tryExactMatch(const Seq &read, std::span<const u64> keys)
     return cand;
 }
 
+template <bool kFiltered>
 std::pair<u32, std::span<const u32>>
 SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const u64> keys)
 {
@@ -91,7 +94,7 @@ SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const u64> keys)
     const u32 len = static_cast<u32>(read.size());
     const u32 max_len = len - pivot; // longest possible RMEM
 
-    const auto first = _index.lookup(keys[pivot]);
+    const auto first = find<kFiltered>(keys[pivot]);
     ++_stats.indexLookups;
     if (first.empty())
         return {0, {}};
@@ -118,7 +121,7 @@ SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const u64> keys)
         return true;
     };
     auto try_extend = [&](u32 t) {
-        const auto hits = _index.lookup(keys[pivot + t]);
+        const auto hits = find<kFiltered>(keys[pivot + t]);
         ++_stats.indexLookups;
         return try_extend_hits(t, hits);
     };
@@ -130,14 +133,14 @@ SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const u64> keys)
     bool probed_failure = false;
     if (_cfg.probing && length + k <= max_len) {
         const u32 t0 = length; // the standard stride-k second k-mer
-        auto hits0 = _index.lookup(keys[pivot + t0]);
+        auto hits0 = find<kFiltered>(keys[pivot + t0]);
         ++_stats.indexLookups;
         u32 best_t = t0;
         auto best_hits = hits0;
         if (hits0.size() > _cfg.probeThreshold) {
             for (u32 s = k / 2; s >= 1; s /= 2) {
                 const u32 t = length - k + s;
-                const auto hits = _index.lookup(keys[pivot + t]);
+                const auto hits = find<kFiltered>(keys[pivot + t]);
                 ++_stats.indexLookups;
                 if (hits.size() < best_hits.size()) {
                     best_hits = hits;
@@ -188,6 +191,14 @@ SmemEngine::rmem(const Seq &read, u32 pivot, std::span<const u64> keys)
 std::vector<Smem>
 SmemEngine::seed(const Seq &read)
 {
+    return _index.hasPresenceFilter() ? seedWith<true>(read)
+                                      : seedWith<false>(read);
+}
+
+template <bool kFiltered>
+std::vector<Smem>
+SmemEngine::seedWith(const Seq &read)
+{
     // Recycle the previous read's position lists and scratch; see
     // the lifetime note in the header.
     _arena.reset();
@@ -214,7 +225,7 @@ SmemEngine::seed(const Seq &read)
     }
 
     if (_cfg.exactMatchFastPath) {
-        auto cand = tryExactMatch(read, keys);
+        auto cand = tryExactMatch<kFiltered>(read, keys);
         if (!cand.empty()) {
             ++_stats.exactMatchReads;
             ++_stats.smems;
@@ -231,20 +242,33 @@ SmemEngine::seed(const Seq &read)
         }
     }
 
-    // Prefetch the pivot k-mers' probe lines a fixed distance ahead
-    // of the rmem loop: the first lookup of each pivot is the one
+    // Without a filter (the whole-genome software index, where most
+    // pivot k-mers occur) prefetch the pivots' probe lines a fixed
+    // distance ahead: the first lookup of each pivot is the one
     // predictable table access, and overlapping its cache miss with
-    // the previous pivots' work takes it off the critical path.
+    // the previous pivots' work takes it off the critical path. With
+    // a filter most pivots never reach the table, and the lookahead
+    // measured no gain.
     constexpr u32 kLookahead = 8;
-    for (u32 p = 0; p < std::min(pivots, kLookahead); ++p)
-        _index.lookupPrefetch(keys[p]);
+    if constexpr (!kFiltered)
+        for (u32 p = 0; p < std::min(pivots, kLookahead); ++p)
+            _index.lookupPrefetch(keys[p]);
 
     std::vector<Smem> out;
     u32 max_end = 0;
     for (u32 pivot = 0; pivot + k <= len; ++pivot) {
-        if (pivot + kLookahead < pivots)
+        if constexpr (kFiltered) {
+            // A pivot whose first k-mer the presence filter rules
+            // out has no RMEM; the model still charges its one
+            // lookup, as rmem() would.
+            if (!_index.mayContain(keys[pivot])) {
+                ++_stats.indexLookups;
+                continue;
+            }
+        } else if (pivot + kLookahead < pivots) {
             _index.lookupPrefetch(keys[pivot + kLookahead]);
-        auto [length, cand] = rmem(read, pivot, keys);
+        }
+        auto [length, cand] = rmem<kFiltered>(read, pivot, keys);
         if (length == 0)
             continue;
         // SMEM interval sanity: an RMEM certifies at least one whole

@@ -1,5 +1,7 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
+
 #include "io/store.hh"
 
 namespace genax {
@@ -160,8 +162,10 @@ decodeAlignRequest(std::string_view payload)
     size_t off = 0;
     u32 count = 0;
     GENAX_TRY(getInt<u32>(payload, off, count));
+    // The count is untrusted: every record carries three u32 length
+    // prefixes, so the bytes left bound how many it can really hold.
     std::vector<FastqRecord> reads;
-    reads.reserve(count);
+    reads.reserve(std::min<size_t>(count, (payload.size() - off) / 12));
     for (u32 i = 0; i < count; ++i) {
         FastqRecord rec;
         GENAX_TRY(getBytes(payload, off, rec.name));
@@ -198,8 +202,9 @@ decodeAlignResponse(std::string_view payload)
     size_t off = 0;
     u32 count = 0;
     GENAX_TRY(getInt<u32>(payload, off, count));
+    // Untrusted count: each line carries at least a u32 length prefix.
     std::vector<std::string> lines;
-    lines.reserve(count);
+    lines.reserve(std::min<size_t>(count, (payload.size() - off) / 4));
     for (u32 i = 0; i < count; ++i) {
         std::string line;
         GENAX_TRY(getBytes(payload, off, line));

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -673,6 +674,210 @@ TEST(SmemEngine, ShortReadProducesNoSeeds)
     SmemEngine engine(index, {});
     EXPECT_TRUE(engine.seed(encode("ACGTACG")).empty());
 }
+
+// ---------------------------------------------------- presence filter
+
+/** Presence of every key of a reference at k (dense bitmap). */
+std::vector<bool>
+presentKeys(const FlatKmerIndex &index, const Seq &ref)
+{
+    std::vector<bool> present(u64{1} << (2 * index.k()), false);
+    for (size_t pos = 0; pos + index.k() <= ref.size(); ++pos)
+        present[index.packKmer(ref, pos)] = true;
+    return present;
+}
+
+TEST(PresenceFilter, GenAxSegmentHasNoFalseNegativesAndFewPositives)
+{
+    // A 0.5 Mbp GenAx segment at the paper's k: selective, so the
+    // owning constructor builds a 512 KB filter.
+    Rng rng(770);
+    const Seq ref = randomSeq(rng, 500000);
+    const FlatKmerIndex index(ref, 12);
+    ASSERT_TRUE(index.hasPresenceFilter());
+    ASSERT_EQ(index.presenceFilterSpan().size_bytes(), 512u * 1024);
+
+    const std::vector<bool> present = presentKeys(index, ref);
+    u64 absent = 0, passed = 0;
+    for (u64 key = 0; key < present.size(); ++key) {
+        if (present[key]) {
+            ASSERT_TRUE(index.mayContain(key)) << "key " << key;
+        } else {
+            ++absent;
+            passed += index.mayContain(key) ? 1 : 0;
+        }
+    }
+    // A pass-everything filter would score 1.0 here.
+    const double fpr = static_cast<double>(passed) / absent;
+    EXPECT_LE(fpr, 0.08) << passed << " of " << absent;
+}
+
+TEST(PresenceFilter, OnlySelectiveIndexesCarryOne)
+{
+    Rng rng(771);
+    // 20 kbp at k = 8: ~17k of 65,536 keys present, 8 * distinct >
+    // 4^k, so no filter — the whole-genome software index's case.
+    const Seq dense_ref = randomSeq(rng, 20000);
+    const FlatKmerIndex dense(dense_ref, 8);
+    ASSERT_GT(8 * dense.distinctKmers(), u64{1} << 16);
+    EXPECT_FALSE(dense.hasPresenceFilter());
+    EXPECT_TRUE(dense.presenceFilterSpan().empty());
+    for (u64 key = 0; key < (u64{1} << 16); key += 13)
+        EXPECT_TRUE(dense.mayContain(key));
+
+    // The dense CSR layout has the same interface and never rules a
+    // key out.
+    const KmerIndex csr(dense_ref, 8);
+    EXPECT_FALSE(csr.hasPresenceFilter());
+    for (u64 key = 0; key < (u64{1} << 16); key += 13)
+        EXPECT_TRUE(csr.mayContain(key));
+
+    // An empty index is trivially selective and rules out every key.
+    const FlatKmerIndex empty(encode("ACG"), 8);
+    EXPECT_EQ(empty.presenceFilterSpan().size(), 1u);
+    EXPECT_FALSE(empty.mayContain(0));
+}
+
+TEST(PresenceFilter, CopiesOwnTheirFilter)
+{
+    Rng rng(772);
+    const Seq ref = randomSeq(rng, 30000);
+    std::optional<FlatKmerIndex> original(std::in_place, ref, 10);
+    ASSERT_FALSE(original->presenceFilterSpan().empty());
+    const std::vector<u64> words(original->presenceFilterSpan().begin(),
+                                 original->presenceFilterSpan().end());
+    const FlatKmerIndex copy = *original;
+    original.reset(); // the copy must not alias the destroyed filter
+    EXPECT_TRUE(std::equal(words.begin(), words.end(),
+                           copy.presenceFilterSpan().begin(),
+                           copy.presenceFilterSpan().end()));
+    for (size_t pos = 0; pos + 10 <= ref.size(); pos += 17)
+        EXPECT_TRUE(copy.mayContain(copy.packKmer(ref, pos)));
+}
+
+#if !defined(GENAX_KMER_INDEX_ORACLE)
+// Under the dense-layout oracle SeedIndex is KmerIndex, which has no
+// filter to difference against; the engine code is the same.
+
+bool
+sameSeeds(const std::vector<Smem> &a, const std::vector<Smem> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i].qryBegin != b[i].qryBegin ||
+            a[i].qryEnd != b[i].qryEnd ||
+            a[i].positions != b[i].positions)
+            return false;
+    }
+    return true;
+}
+
+void
+expectSameStats(const SeedingStats &a, const SeedingStats &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.reads, b.reads) << what;
+    EXPECT_EQ(a.exactMatchReads, b.exactMatchReads) << what;
+    EXPECT_EQ(a.indexLookups, b.indexLookups) << what;
+    EXPECT_EQ(a.smems, b.smems) << what;
+    EXPECT_EQ(a.hitsReported, b.hitsReported) << what;
+    EXPECT_EQ(a.cam.loads, b.cam.loads) << what;
+    EXPECT_EQ(a.cam.searches, b.cam.searches) << what;
+    EXPECT_EQ(a.cam.binarySteps, b.cam.binarySteps) << what;
+    EXPECT_EQ(a.cam.overflowFallbacks, b.cam.overflowFallbacks)
+        << what;
+}
+
+// The filtered index runs SmemEngine's filtered instantiation and a
+// filter-less view of the same table the plain one, so this diffs the
+// two seeding code paths.
+TEST(PresenceFilter, SmemEngineIsIdenticalWithAndWithoutTheFilter)
+{
+    // A segment with repeats (a poly-A run and a tandem unit) so the
+    // CAM overflow, binary-fallback and probing paths all fire.
+    Rng rng(773);
+    Seq ref = randomSeq(rng, 200000);
+    ref.insert(ref.begin() + 50000, 800, kBaseA);
+    const Seq unit(ref.begin() + 90000, ref.begin() + 90040);
+    for (int copy = 0; copy < 80; ++copy)
+        ref.insert(ref.begin() + 120000, unit.begin(), unit.end());
+    const u32 k = 12;
+    const FlatKmerIndex filtered(ref, k);
+    ASSERT_TRUE(filtered.hasPresenceFilter());
+    const FlatKmerIndex unfiltered = FlatKmerIndex::view(
+        filtered.tableSpan(), filtered.positionsSpan(), k,
+        filtered.segmentLength(), filtered.maxHitListSize(),
+        filtered.distinctKmers());
+    ASSERT_FALSE(unfiltered.hasPresenceFilter());
+
+    // Reads from the segment (exact and with substitutions, some
+    // across the repeats) and from elsewhere (mostly absent k-mers).
+    std::vector<Seq> reads;
+    for (int t = 0; t < 40; ++t) {
+        const u64 pos = t < 4 ? 49950 + 40 * t
+                              : rng.below(ref.size() - 101);
+        Seq read(ref.begin() + pos, ref.begin() + pos + 101);
+        for (int e = 0; e < t % 4; ++e) {
+            const u64 p = rng.below(read.size());
+            read[p] = static_cast<Base>((read[p] + 1 + rng.below(3)) & 3);
+        }
+        reads.push_back(std::move(read));
+    }
+    for (int t = 0; t < 20; ++t)
+        reads.push_back(randomSeq(rng, 101));
+
+    u64 ruled_out = 0;
+    for (const Seq &read : reads)
+        for (size_t p = 0; p + k <= read.size(); ++p)
+            ruled_out += filtered.mayContain(filtered.packKmer(read, p))
+                             ? 0
+                             : 1;
+    ASSERT_GT(ruled_out, 0u); // the filter path is really taken
+
+    for (const bool armed : {false, true}) {
+        for (u32 toggles = 0; toggles < 32; ++toggles) {
+            SeedingConfig cfg;
+            cfg.camSize = 32; // overflow on the repeats
+            cfg.smemFilter = toggles & 1;
+            cfg.strideRefinement = toggles & 2;
+            cfg.probing = toggles & 4;
+            cfg.exactMatchFastPath = toggles & 8;
+            cfg.binarySearchFallback = toggles & 16;
+            const std::string what = "toggles " +
+                                     std::to_string(toggles) +
+                                     (armed ? " overflow armed" : "");
+
+            auto run = [&](const FlatKmerIndex &index) {
+                // A fresh plan per run: both see the same ordinals.
+                ScopedFaultPlan plan;
+                if (armed)
+                    FaultInjector::instance().arm(
+                        fault::kCamOverflow, {.probability = 0.3});
+                SmemEngine engine(index, cfg);
+                std::vector<std::vector<Smem>> seeds;
+                for (const Seq &read : reads) {
+                    std::vector<Smem> got;
+                    for (const Smem &s : engine.seed(read))
+                        got.push_back(s); // detach from the arena
+                    seeds.push_back(std::move(got));
+                }
+                return std::make_pair(seeds, engine.stats());
+            };
+            const auto [want_seeds, want_stats] = run(unfiltered);
+            const auto [got_seeds, got_stats] = run(filtered);
+            for (size_t r = 0; r < reads.size(); ++r)
+                ASSERT_TRUE(sameSeeds(got_seeds[r], want_seeds[r]))
+                    << what << " read " << r;
+            expectSameStats(got_stats, want_stats, what);
+            if (cfg.binarySearchFallback) {
+                EXPECT_GT(got_stats.cam.overflowFallbacks, 0u)
+                    << what;
+            }
+        }
+    }
+}
+#endif
 
 // ------------------------------------------------------------ segments
 

@@ -206,6 +206,29 @@ TEST(ServeProtocol, AlignRequestRejectsDamage)
     EXPECT_FALSE(decodeAlignRequest("").ok());
 }
 
+// A decoded count sizes nothing beyond the bytes that carry it: a
+// count of UINT32_MAX ahead of real records (or of nothing) must be
+// a clean InvalidInput, not a multi-gigabyte reserve().
+TEST(ServeProtocol, HugeCountsAreRejectedWithoutAllocating)
+{
+    const std::string max_count(4, '\xff');
+    const std::string request =
+        max_count + encodeAlignRequest(someReads()).substr(4);
+    for (const std::string &payload : {max_count, request}) {
+        const auto back = decodeAlignRequest(payload);
+        ASSERT_FALSE(back.ok());
+        EXPECT_EQ(back.status().code(), StatusCode::InvalidInput);
+    }
+
+    const std::string response =
+        max_count + encodeAlignResponse({"r1\t0\tchr1\n", ""}).substr(4);
+    for (const std::string &payload : {max_count, response}) {
+        const auto back = decodeAlignResponse(payload);
+        ASSERT_FALSE(back.ok());
+        EXPECT_EQ(back.status().code(), StatusCode::InvalidInput);
+    }
+}
+
 TEST(ServeProtocol, AlignResponseAndErrorRoundTrip)
 {
     const std::vector<std::string> lines = {"r1\t0\tchr1\n", "",

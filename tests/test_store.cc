@@ -450,7 +450,76 @@ TEST(FlatIndexSnapshot, SaveLoadMapViewAreEquivalent)
     fs::remove_all(dir);
 }
 
+/** Bit-for-bit equality of two presence filters. */
+bool
+sameFilter(const FlatKmerIndex &a, const FlatKmerIndex &b)
+{
+    const auto fa = a.presenceFilterSpan();
+    const auto fb = b.presenceFilterSpan();
+    return std::equal(fa.begin(), fa.end(), fb.begin(), fb.end());
+}
+
+TEST(FlatIndexSnapshot, PresenceFilterRebuiltAtOpenMatchesOwned)
+{
+    // The filter is not on disk: load() and mapView() rebuild it in
+    // the validation walk, and it must equal the owning build's.
+    const fs::path dir = scratchDir("genax_flatidx_filter");
+    const std::string path = (dir / "seg.fkx").string();
+    Rng rng(907);
+    const Seq ref = randomSeq(rng, 60000);
+    const u32 k = 11;
+    const FlatKmerIndex built(ref, k);
+    ASSERT_FALSE(built.presenceFilterSpan().empty());
+    const IndexFingerprint fp = referenceFingerprint(ref, k);
+    ASSERT_TRUE(built.save(path, fp).ok());
+
+    auto loaded = FlatKmerIndex::load(path, &fp);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().str();
+    auto mapping = FlatKmerIndex::mapView(path, &fp);
+    ASSERT_TRUE(mapping.ok()) << mapping.status().str();
+    // Moving the owner keeps the view's filter valid.
+    const FlatKmerIndexMapping moved = std::move(*mapping);
+    const FlatKmerIndex &owned_idx = *loaded;
+    for (const FlatKmerIndex *idx : {&owned_idx, &moved.index()}) {
+        EXPECT_TRUE(sameFilter(*idx, built));
+        for (size_t pos = 0; pos + k <= ref.size(); ++pos)
+            ASSERT_TRUE(idx->mayContain(idx->packKmer(ref, pos)))
+                << "false negative at " << pos;
+    }
+    fs::remove_all(dir);
+}
+
 // --------------------------------------------- whole-ref snapshots
+
+TEST(IndexSnapshot, SegmentFiltersMatchOwnedBitForBit)
+{
+    const fs::path dir = scratchDir("genax_snap_filter");
+    const std::string path = (dir / "ref.gxs").string();
+    Rng rng(908);
+    const Seq ref = randomSeq(rng, 120000);
+    SegmentConfig cfg;
+    cfg.k = 12;
+    cfg.segmentCount = 4;
+    cfg.overlap = 128;
+    ASSERT_TRUE(IndexSnapshot::build(
+                    path, ref, {{"c", 0, ref.size()}}, cfg)
+                    .ok());
+    auto snap = IndexSnapshot::open(path);
+    ASSERT_TRUE(snap.ok()) << snap.status().str();
+
+    const GenomeSegments segs(ref, cfg);
+    for (u64 i = 0; i < segs.count(); ++i) {
+        const Seq bases = segs.bases(i);
+        const FlatKmerIndex owned(bases, cfg.k);
+        const FlatKmerIndex view = snap->segmentView(i);
+        ASSERT_FALSE(view.presenceFilterSpan().empty());
+        EXPECT_TRUE(sameFilter(view, owned)) << "segment " << i;
+        for (size_t pos = 0; pos + cfg.k <= bases.size(); ++pos)
+            ASSERT_TRUE(view.mayContain(view.packKmer(bases, pos)))
+                << "segment " << i << " false negative at " << pos;
+    }
+    fs::remove_all(dir);
+}
 
 TEST(IndexSnapshot, BuildOpenRoundTrip)
 {
