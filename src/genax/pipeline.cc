@@ -177,33 +177,6 @@ class BoundedQueue
     bool _closed GENAX_GUARDED_BY(_mu) = false;
 };
 
-Status
-validateReference(const std::vector<FastaRecord> &ref)
-{
-    if (ref.empty())
-        return invalidInputError("reference has no usable contigs");
-    for (const auto &rec : ref) {
-        if (rec.seq.empty())
-            return invalidInputError("reference contig '" + rec.name +
-                                     "' is empty");
-    }
-    return okStatus();
-}
-
-/** attachIndexSnapshot() + fold the disposition into a pipeline
- *  result. */
-Status
-attachSnapshot(const std::string &path, const Seq &refseq,
-               IndexAttachment &att, PipelineResult &res)
-{
-    GENAX_TRY_ASSIGN(att, attachIndexSnapshot(path, refseq));
-    res.indexFromSnapshot = att.fromSnapshot;
-    res.indexMapped = att.mapped;
-    res.indexFallback = att.fallback;
-    res.indexNote = att.note;
-    return okStatus();
-}
-
 } // namespace
 
 StatusOr<IndexAttachment>
@@ -246,28 +219,134 @@ applyIndexAttachment(GenAxConfig &cfg, const IndexAttachment &att)
     cfg.snapshot = &*att.snapshot;
 }
 
-StatusOr<PipelineResult>
-alignToSam(const std::vector<FastaRecord> &ref,
-           const std::vector<FastqRecord> &reads, std::ostream &out,
-           const PipelineOptions &opts)
+AlignSession::AlignSession(const std::vector<FastaRecord> &ref)
+    : _contigs(ref)
 {
-    if (Status s = validateReference(ref); !s.ok())
-        return s;
-    const ContigMap contigs(ref);
+    for (const auto &c : _contigs.contigs())
+        _header.push_back({c.name, c.length});
+}
 
-    PipelineResult res;
-    res.reads = reads.size();
+template <typename Fn>
+void
+AlignSession::timed(Fn &&fn)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    _seconds += std::chrono::duration<double>(t1 - t0).count();
+}
 
-    IndexAttachment attach;
-    if (!opts.indexSnapshot.empty())
-        GENAX_TRY(attachSnapshot(opts.indexSnapshot,
-                                 contigs.sequence(), attach, res));
+StatusOr<std::unique_ptr<AlignSession>>
+AlignSession::open(const std::vector<FastaRecord> &ref,
+                   const EngineOptions &opts)
+{
+    if (ref.empty())
+        return invalidInputError("reference has no usable contigs");
+    for (const auto &rec : ref) {
+        if (rec.seq.empty())
+            return invalidInputError("reference contig '" + rec.name +
+                                     "' is empty");
+    }
+    // No make_unique: the constructor is private.
+    // genax-lint: allow(naked-new): one session per run, not per-read scratch
+    std::unique_ptr<AlignSession> s(new AlignSession(ref));
 
-    // Admission: the genax.pipeline.read fault point models a read
-    // lost inside the pipeline (staging-buffer corruption and the
-    // like). Such a read is Failed in the ledger and emitted as an
-    // unmapped placeholder so the SAM output stays index-aligned with
-    // the input.
+    if (!opts.indexSnapshot.empty()) {
+        GENAX_TRY_ASSIGN(s->_attach,
+                         attachIndexSnapshot(opts.indexSnapshot,
+                                             s->_contigs.sequence()));
+    }
+
+    // Graceful degradation: an edit bound beyond what a SillaX lane
+    // supports cannot run on the accelerator model at all; the whole
+    // run falls back to the software engine and its mapped reads are
+    // reported as degraded rather than silently relabelled.
+    bool use_software = opts.engine == EngineOptions::Engine::Software;
+    if (!use_software && opts.band > kMaxSillaK) {
+        GENAX_WARN("edit bound ", opts.band,
+                   " exceeds the SillaX maximum ", kMaxSillaK,
+                   "; degrading the run to the software engine");
+        use_software = true;
+        s->_softwareFallback = true;
+    }
+
+    s->timed([&] {
+        if (!use_software) {
+            GenAxConfig cfg;
+            cfg.k = opts.k;
+            cfg.editBound = opts.band;
+            cfg.segmentCount = opts.segments;
+            cfg.segmentOverlap = opts.segmentOverlap;
+            cfg.threads = opts.threads;
+            applyIndexAttachment(cfg, s->_attach);
+            s->_system.emplace(s->_contigs.sequence(), cfg);
+            s->_system->streamBegin();
+        } else {
+            AlignerConfig cfg;
+            cfg.k = opts.k;
+            cfg.band = opts.band;
+            cfg.threads = opts.threads;
+            s->_aligner.emplace(s->_contigs.sequence(), cfg);
+        }
+    });
+    return s;
+}
+
+AlignSession::Aligned
+AlignSession::align(const std::vector<Seq> &seqs)
+{
+    GENAX_CHECK(!_finished, "align() after the session was finished");
+    Aligned out;
+    timed([&] {
+        if (_system) {
+            out.maps = _system->streamBatch(seqs, _base);
+            out.degraded = _system->degradedReads();
+        } else {
+            out.maps = _aligner->alignAll(seqs);
+            out.degraded.assign(seqs.size(), _softwareFallback ? 1 : 0);
+        }
+    });
+    _base += seqs.size();
+    return out;
+}
+
+void
+AlignSession::finish()
+{
+    if (_finished)
+        return;
+    _finished = true;
+    if (!_system)
+        return;
+    timed([&] { _system->streamEnd(); });
+    _perf = _system->perf();
+    _hostProfile = _system->hostProfile();
+}
+
+const BwaMemLike &
+AlignSession::softwareEngine() const
+{
+    GENAX_CHECK(_aligner.has_value(),
+                "software engine requested from a GenAx session");
+    return *_aligner;
+}
+
+namespace {
+
+/**
+ * One batch through a session: admission, alignment, SAM emission.
+ * Admission is the genax.pipeline.read fault point, modelling a read
+ * lost inside the pipeline (staging-buffer corruption and the like):
+ * such a read is Failed in the ledger and emitted as an unmapped
+ * placeholder so the SAM output stays index-aligned with the input.
+ * It runs on the caller's thread in read order, so the site's
+ * ordinals are the same at any batch split.
+ */
+void
+alignBatch(AlignSession &session, SamWriter &sam,
+           const std::vector<FastqRecord> &reads, PipelineResult &res)
+{
+    res.reads += reads.size();
     std::vector<u8> failed(reads.size(), 0);
     std::vector<Seq> seqs;
     seqs.reserve(reads.size());
@@ -279,57 +358,29 @@ alignToSam(const std::vector<FastaRecord> &ref,
         }
         seqs.push_back(reads[i].seq);
     }
+    const AlignSession::Aligned aligned = session.align(seqs);
+    emitBatch(sam, session.contigs(), reads, failed, aligned.maps,
+              aligned.degraded, res);
+}
 
-    // Graceful degradation: an edit bound beyond what a SillaX lane
-    // supports cannot run on the accelerator model at all; the whole
-    // run falls back to the software engine and its mapped reads are
-    // reported as degraded rather than silently relabelled.
-    bool use_software = opts.engine == PipelineOptions::Engine::Software;
-    if (!use_software && opts.band > kMaxSillaK) {
-        GENAX_WARN("edit bound ", opts.band,
-                   " exceeds the SillaX maximum ", kMaxSillaK,
-                   "; degrading the run to the software engine");
-        use_software = true;
-        res.softwareFallback = true;
-    }
-
-    std::vector<Mapping> maps;
-    std::vector<u8> degraded(seqs.size(), 0);
-    const auto t0 = std::chrono::steady_clock::now();
-    if (!use_software) {
-        GenAxConfig cfg;
-        cfg.k = opts.k;
-        cfg.editBound = opts.band;
-        cfg.segmentCount = opts.segments;
-        cfg.segmentOverlap = opts.segmentOverlap;
-        cfg.threads = opts.threads;
-        applyIndexAttachment(cfg, attach);
-        GenAxSystem system(contigs.sequence(), cfg);
-        maps = system.alignAll(seqs);
-        res.perf = system.perf();
-        res.hostProfile = system.hostProfile();
-        degraded = system.degradedReads();
-    } else {
-        AlignerConfig cfg;
-        cfg.k = opts.k;
-        cfg.band = opts.band;
-        cfg.threads = opts.threads;
-        BwaMemLike aligner(contigs.sequence(), cfg);
-        maps = aligner.alignAll(seqs);
-        if (res.softwareFallback)
-            degraded.assign(seqs.size(), 1);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    res.seconds = std::chrono::duration<double>(t1 - t0).count();
-
-    std::vector<SamRefSeq> header;
-    for (const auto &c : contigs.contigs())
-        header.push_back({c.name, c.length});
-    SamWriter sam(out, header);
-    emitBatch(sam, contigs, reads, failed, maps, degraded, res);
-    if (!out)
+/** Close a single-end run: fold the session's run-level outcome into
+ *  the result and check the output stream and the ledger. */
+StatusOr<PipelineResult>
+closeRun(const AlignSession &session, const SamWriter &sam,
+         bool written, PipelineResult res)
+{
+    if (!written)
         return ioError("failed writing SAM output after " +
                        std::to_string(sam.count()) + " records");
+    const IndexAttachment &att = session.indexAttachment();
+    res.indexFromSnapshot = att.fromSnapshot;
+    res.indexMapped = att.mapped;
+    res.indexFallback = att.fallback;
+    res.indexNote = att.note;
+    res.softwareFallback = session.softwareFallback();
+    res.seconds = session.seconds();
+    res.perf = session.perf();
+    res.hostProfile = session.hostProfile();
     GENAX_CHECK(res.ledgerBalanced(),
                 "pipeline ledger out of balance: ", res.mapped, "+",
                 res.unmapped, "+", res.skippedMalformed, "+",
@@ -337,30 +388,29 @@ alignToSam(const std::vector<FastaRecord> &ref,
     return res;
 }
 
+} // namespace
+
+StatusOr<PipelineResult>
+alignToSam(const std::vector<FastaRecord> &ref,
+           const std::vector<FastqRecord> &reads, std::ostream &out,
+           const PipelineOptions &opts)
+{
+    GENAX_TRY_ASSIGN(const auto session, AlignSession::open(ref, opts));
+    PipelineResult res;
+    SamWriter sam(out, session->samHeader());
+    alignBatch(*session, sam, reads, res);
+    session->finish();
+    return closeRun(*session, sam, static_cast<bool>(out),
+                    std::move(res));
+}
+
 StatusOr<PipelineResult>
 alignStreamToSam(const std::vector<FastaRecord> &ref,
                  FastqReader &reads, std::ostream &out,
                  const PipelineOptions &opts)
 {
-    if (Status s = validateReference(ref); !s.ok())
-        return s;
-    const ContigMap contigs(ref);
-
+    GENAX_TRY_ASSIGN(const auto session, AlignSession::open(ref, opts));
     PipelineResult res;
-
-    IndexAttachment attach;
-    if (!opts.indexSnapshot.empty())
-        GENAX_TRY(attachSnapshot(opts.indexSnapshot,
-                                 contigs.sequence(), attach, res));
-
-    bool use_software = opts.engine == PipelineOptions::Engine::Software;
-    if (!use_software && opts.band > kMaxSillaK) {
-        GENAX_WARN("edit bound ", opts.band,
-                   " exceeds the SillaX maximum ", kMaxSillaK,
-                   "; degrading the run to the software engine");
-        use_software = true;
-        res.softwareFallback = true;
-    }
 
     const u64 batch_size =
         opts.batchReads == 0 ? ~u64{0} : opts.batchReads;
@@ -402,11 +452,8 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
     // the writer thread. An injected write fault poisons the stage's
     // stream state exactly like a real device error poisons a file
     // stream, and is checked the same way at the end of the run.
-    std::vector<SamRefSeq> header;
-    for (const auto &c : contigs.contigs())
-        header.push_back({c.name, c.length});
     std::ostringstream stage;
-    SamWriter sam(stage, header);
+    SamWriter sam(stage, session->samHeader());
     BoundedQueue<std::string> emitted(2);
     std::thread writer_thread;
     if (!inline_io) {
@@ -433,40 +480,7 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
     };
     flush_stage(); // the header, so an empty input still yields SAM
 
-    double align_seconds = 0;
-    const auto timed = [&](auto &&fn) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        // genax-lint: allow(fp-accum): wall-time bookkeeping summed on the caller thread in batch order, not a modelled statistic
-        align_seconds +=
-            std::chrono::duration<double>(t1 - t0).count();
-    };
-
-    std::optional<GenAxSystem> system;
-    std::optional<BwaMemLike> aligner;
-    timed([&] {
-        if (!use_software) {
-            GenAxConfig cfg;
-            cfg.k = opts.k;
-            cfg.editBound = opts.band;
-            cfg.segmentCount = opts.segments;
-            cfg.segmentOverlap = opts.segmentOverlap;
-            cfg.threads = opts.threads;
-            applyIndexAttachment(cfg, attach);
-            system.emplace(contigs.sequence(), cfg);
-            system->streamBegin();
-        } else {
-            AlignerConfig cfg;
-            cfg.k = opts.k;
-            cfg.band = opts.band;
-            cfg.threads = opts.threads;
-            aligner.emplace(contigs.sequence(), cfg);
-        }
-    });
-
     Status failure = okStatus();
-    u64 base = 0; // admitted reads before the current batch
     for (;;) {
         StatusOr<std::vector<FastqRecord>> next{
             std::vector<FastqRecord>{}};
@@ -486,47 +500,12 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
             std::move(next).value();
         if (batch.empty())
             break;
-        res.reads += batch.size();
-
-        // Admission (genax.pipeline.read): on this thread, in read
-        // order, so the fault site's ordinals match the load-all
-        // path's single admission loop.
-        std::vector<u8> failed(batch.size(), 0);
-        std::vector<Seq> seqs;
-        seqs.reserve(batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-            if (faultFires(fault::kPipelineRead)) [[unlikely]] {
-                failed[i] = 1;
-                ++res.failed;
-                continue;
-            }
-            seqs.push_back(batch[i].seq);
-        }
-
-        std::vector<Mapping> maps;
-        std::vector<u8> degraded(seqs.size(), 0);
-        timed([&] {
-            if (system) {
-                maps = system->streamBatch(seqs, base);
-                degraded = system->degradedReads();
-            } else {
-                maps = aligner->alignAll(seqs);
-                if (res.softwareFallback)
-                    degraded.assign(seqs.size(), 1);
-            }
-        });
-        base += seqs.size();
-
-        emitBatch(sam, contigs, batch, failed, maps, degraded, res);
+        alignBatch(*session, sam, batch, res);
         flush_stage();
     }
 
-    if (system && failure.ok()) {
-        timed([&] { system->streamEnd(); });
-        res.perf = system->perf();
-        res.hostProfile = system->hostProfile();
-    }
-    res.seconds = align_seconds;
+    if (failure.ok())
+        session->finish();
 
     // Wind down the IO stages (close() unblocks a reader stuck on a
     // full queue after an early exit).
@@ -539,14 +518,7 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
 
     if (!failure.ok())
         return failure;
-    if (!stage || !out)
-        return ioError("failed writing SAM output after " +
-                       std::to_string(sam.count()) + " records");
-    GENAX_CHECK(res.ledgerBalanced(),
-                "pipeline ledger out of balance: ", res.mapped, "+",
-                res.unmapped, "+", res.skippedMalformed, "+",
-                res.degraded, "+", res.failed, " != ", res.reads);
-    return res;
+    return closeRun(*session, sam, stage && out, std::move(res));
 }
 
 namespace {
@@ -617,24 +589,18 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
             std::to_string(reads2.size()) +
             " (skipped malformed records can desynchronize mates)");
     }
-    if (Status s = validateReference(ref); !s.ok())
-        return s;
-    const ContigMap contigs(ref);
-
-    AlignerConfig cfg;
-    cfg.k = opts.k;
-    cfg.band = opts.band;
-    cfg.threads = opts.threads;
-    BwaMemLike aligner(contigs.sequence(), cfg);
-    PairedAligner paired(aligner);
+    // Pairing runs on the software engine only and never reads a
+    // snapshot.
+    EngineOptions sw = opts;
+    sw.engine = EngineOptions::Engine::Software;
+    sw.indexSnapshot.clear();
+    GENAX_TRY_ASSIGN(const auto session, AlignSession::open(ref, sw));
+    const ContigMap &contigs = session->contigs();
+    const PairedAligner paired(session->softwareEngine());
 
     PipelineResult res;
     res.reads = reads1.size() * 2;
-
-    std::vector<SamRefSeq> header;
-    for (const auto &c : contigs.contigs())
-        header.push_back({c.name, c.length});
-    SamWriter sam(out, header);
+    SamWriter sam(out, session->samHeader());
 
     const auto t0 = std::chrono::steady_clock::now();
     for (size_t i = 0; i < reads1.size(); ++i) {
@@ -678,6 +644,39 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
     return res;
 }
 
+namespace {
+
+/** Open `path`, run `align` into it and flush. An ofstream buffers;
+ *  ENOSPC/EIO may only surface at the final flush, and the
+ *  destructor swallows it — flush and check here so a short SAM file
+ *  can never look like success. */
+template <typename Fn>
+StatusOr<PipelineResult>
+writeSamFile(const std::string &path, Fn &&align)
+{
+    std::ofstream out(path);
+    if (!out)
+        return ioErrorFromErrno("cannot open output SAM", path);
+    GENAX_TRY_ASSIGN(PipelineResult res, align(out));
+    out.flush();
+    if (!out)
+        return ioError("failed flushing SAM output to " + path);
+    return res;
+}
+
+/** Fold the input parse stats into a finished run's ledger. */
+void
+recordInputs(const ReaderStats &ref_stats,
+             const ReaderStats &read_stats, PipelineResult &res)
+{
+    res.refInput = ref_stats;
+    res.readInput = read_stats;
+    res.skippedMalformed = read_stats.malformed;
+    res.reads += res.skippedMalformed;
+}
+
+} // namespace
+
 StatusOr<PipelineResult>
 alignPairFiles(const std::string &ref_fasta,
                const std::string &reads1_fastq,
@@ -693,26 +692,18 @@ alignPairFiles(const std::string &ref_fasta,
                      readFastqFile(reads1_fastq, ropts, &read1_stats));
     GENAX_TRY_ASSIGN(const auto reads2,
                      readFastqFile(reads2_fastq, ropts, &read2_stats));
-    std::ofstream out(out_sam);
-    if (!out)
-        return ioErrorFromErrno("cannot open output SAM", out_sam);
     GENAX_TRY_ASSIGN(PipelineResult res,
-                     alignPairsToSam(ref, reads1, reads2, out, opts));
-    // An ofstream buffers; ENOSPC/EIO may only surface at the final
-    // flush, and the destructor swallows it — flush and check here
-    // so a short SAM file can never look like success.
-    out.flush();
-    if (!out)
-        return ioError("failed flushing SAM output to " + out_sam);
-    res.refInput = ref_stats;
-    res.readInput = read1_stats;
-    res.readInput.records += read2_stats.records;
-    res.readInput.malformed += read2_stats.malformed;
-    res.readInput.errors.insert(res.readInput.errors.end(),
-                                read2_stats.errors.begin(),
-                                read2_stats.errors.end());
-    res.skippedMalformed = res.readInput.malformed;
-    res.reads += res.skippedMalformed;
+                     writeSamFile(out_sam, [&](std::ostream &out) {
+                         return alignPairsToSam(ref, reads1, reads2,
+                                                out, opts);
+                     }));
+    ReaderStats read_stats = read1_stats;
+    read_stats.records += read2_stats.records;
+    read_stats.malformed += read2_stats.malformed;
+    read_stats.errors.insert(read_stats.errors.end(),
+                             read2_stats.errors.begin(),
+                             read2_stats.errors.end());
+    recordInputs(ref_stats, read_stats, res);
     return res;
 }
 
@@ -726,42 +717,29 @@ alignFiles(const std::string &ref_fasta, const std::string &reads_fastq,
     GENAX_TRY_ASSIGN(const auto ref,
                      readFastaFile(ref_fasta, ropts, &ref_stats));
 
+    // Streaming opens a reader; otherwise the whole read file is
+    // parsed before the SAM file is opened.
+    std::ifstream in;
+    std::optional<FastqReader> reader;
+    std::vector<FastqRecord> reads;
     if (opts.batchReads > 0) {
-        std::ifstream in(reads_fastq);
+        in.open(reads_fastq);
         if (!in)
             return ioErrorFromErrno("cannot open FASTQ file",
                                     reads_fastq);
-        std::ofstream out(out_sam);
-        if (!out)
-            return ioErrorFromErrno("cannot open output SAM", out_sam);
-        FastqReader reader(in, ropts);
-        GENAX_TRY_ASSIGN(PipelineResult res,
-                         alignStreamToSam(ref, reader, out, opts));
-        out.flush();
-        if (!out)
-            return ioError("failed flushing SAM output to " +
-                           out_sam);
-        res.refInput = ref_stats;
-        res.readInput = reader.stats();
-        res.skippedMalformed = res.readInput.malformed;
-        res.reads += res.skippedMalformed;
-        return res;
+        reader.emplace(in, ropts);
+    } else {
+        GENAX_TRY_ASSIGN(reads,
+                         readFastqFile(reads_fastq, ropts, &read_stats));
     }
-
-    GENAX_TRY_ASSIGN(const auto reads,
-                     readFastqFile(reads_fastq, ropts, &read_stats));
-    std::ofstream out(out_sam);
-    if (!out)
-        return ioErrorFromErrno("cannot open output SAM", out_sam);
     GENAX_TRY_ASSIGN(PipelineResult res,
-                     alignToSam(ref, reads, out, opts));
-    out.flush();
-    if (!out)
-        return ioError("failed flushing SAM output to " + out_sam);
-    res.refInput = ref_stats;
-    res.readInput = read_stats;
-    res.skippedMalformed = read_stats.malformed;
-    res.reads += res.skippedMalformed;
+                     writeSamFile(out_sam, [&](std::ostream &out) {
+                         return reader ? alignStreamToSam(ref, *reader,
+                                                          out, opts)
+                                       : alignToSam(ref, reads, out,
+                                                    opts);
+                     }));
+    recordInputs(ref_stats, reader ? reader->stats() : read_stats, res);
     return res;
 }
 

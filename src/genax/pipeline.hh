@@ -6,13 +6,16 @@
  * Multi-contig references are concatenated into one coordinate space
  * with a contig map so SAM records carry per-contig names and
  * positions. Two engines are selectable: the GenAx accelerator model
- * and the BWA-MEM-like software baseline.
+ * and the BWA-MEM-like software baseline. Every front end, the
+ * serving layer's included, opens one AlignSession for the setup a
+ * run does once.
  */
 
 #ifndef GENAX_GENAX_PIPELINE_HH
 #define GENAX_GENAX_PIPELINE_HH
 
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "io/fastq.hh"
 #include "io/sam.hh"
 #include "seed/index_snapshot.hh"
+#include "swbase/bwamem_like.hh"
 
 namespace genax {
 
@@ -109,8 +113,12 @@ StatusOr<IndexAttachment> attachIndexSnapshot(const std::string &path,
 void applyIndexAttachment(GenAxConfig &cfg,
                           const IndexAttachment &att);
 
-/** Pipeline configuration. */
-struct PipelineOptions
+/**
+ * Engine configuration shared by every front end: the offline
+ * pipeline (PipelineOptions extends it) and the load-once daemon
+ * (ServiceConfig names it).
+ */
+struct EngineOptions
 {
     enum class Engine
     {
@@ -126,37 +134,123 @@ struct PipelineOptions
      *  threads. Output and modelled results are identical at any
      *  width. */
     unsigned threads = 1;
+    /**
+     * Optional path to a pre-built index snapshot (genax_index).
+     * When set, the GenAx engine serves each segment's seeding index
+     * zero-copy from the snapshot instead of rebuilding it per
+     * batch, and the snapshot's k / segment count / overlap override
+     * the fields above so the output matches the build. The
+     * snapshot's reference fingerprint must match the parsed FASTA —
+     * a mismatch fails the run (a snapshot is never applied to the
+     * wrong reference). A corrupt or unreadable snapshot degrades to
+     * the rebuild-from-FASTA path and is recorded in
+     * PipelineResult::indexFallback / indexNote. SAM bytes, the
+     * ledger and the modelled perf report are identical with or
+     * without a matching snapshot.
+     */
+    std::string indexSnapshot;
+};
+
+/** Offline pipeline configuration. */
+struct PipelineOptions : EngineOptions
+{
     /** Malformed input records tolerated (skipped and counted) per
      *  input file before the run fails with InvalidInput. */
     u64 maxMalformed = 1000;
     /**
-     * Streaming batch size in reads; 0 loads the whole read file
-     * before aligning (the legacy path). With batching, parsing,
-     * alignment and SAM emission overlap on separate threads and
-     * peak host memory is O(batch) instead of O(dataset), while SAM
-     * bytes, the outcome ledger, the modelled perf report and armed
-     * fault replay stay byte-identical to the load-all path at any
-     * batch size and thread count (see DESIGN.md "Memory &
-     * streaming"). Only alignFiles() consumes this option —
-     * alignToSam() takes pre-parsed reads, and paired mode always
-     * loads both mate files whole.
+     * Streaming batch size in reads for alignFiles(); 0 parses the
+     * whole read file before the SAM file is opened and aligns it as
+     * one batch. With batching, parsing, alignment and SAM emission
+     * overlap on separate threads and peak host memory is O(batch)
+     * instead of O(dataset). SAM bytes, the outcome ledger, the
+     * modelled perf report and armed fault replay are identical at
+     * any batch size and thread count (see DESIGN.md "Memory &
+     * streaming"). alignToSam() takes pre-parsed reads, and paired
+     * mode always loads both mate files whole.
      */
     u64 batchReads = 0;
-    /**
-     * Optional path to a pre-built index snapshot (genax_index
-     * --format flat). When set, the GenAx engine serves each
-     * segment's seeding index zero-copy from the snapshot instead of
-     * rebuilding it per batch, and the snapshot's k / segment count /
-     * overlap override the fields above so the output matches the
-     * build. The snapshot's reference fingerprint must match the
-     * parsed FASTA — a mismatch fails the run (a snapshot is never
-     * applied to the wrong reference). A corrupt or unreadable
-     * snapshot degrades to the rebuild-from-FASTA path and is
-     * recorded in PipelineResult::indexFallback / indexNote. SAM
-     * bytes, the ledger and the modelled perf report are identical
-     * with or without a matching snapshot.
-     */
-    std::string indexSnapshot;
+};
+
+/**
+ * Everything one alignment run does once, shared by every front end
+ * (alignToSam, alignStreamToSam, alignPairsToSam and the serving
+ * layer's AlignService):
+ *
+ *  - validate the reference and build its ContigMap;
+ *  - run the snapshot attach policy (attachIndexSnapshot);
+ *  - decide the software fallback (a band beyond the SillaX edit
+ *    bound runs on the software engine, reported as degraded);
+ *  - construct the engine and open its stream.
+ *
+ * align() then takes successive batches of one read stream; the
+ * session keys each batch with the count of reads it aligned before,
+ * so results and fault replay are identical at any batch split.
+ * finish() closes the stream and publishes the modelled report.
+ *
+ * Not movable: the engines hold references into the session's
+ * ContigMap and snapshot attachment. Single-owner, like the engine
+ * stream it wraps.
+ */
+class AlignSession
+{
+  public:
+    /** Validation failures are InvalidInput; snapshot trouble
+     *  follows attachIndexSnapshot(). */
+    static StatusOr<std::unique_ptr<AlignSession>>
+    open(const std::vector<FastaRecord> &ref, const EngineOptions &opts);
+
+    AlignSession(const AlignSession &) = delete;
+    AlignSession &operator=(const AlignSession &) = delete;
+
+    /** One batch's engine results, parallel to its reads. */
+    struct Aligned
+    {
+        std::vector<Mapping> maps;
+        std::vector<u8> degraded; //!< mapped via a fallback path
+    };
+
+    /** Align the next batch of the stream. */
+    Aligned align(const std::vector<Seq> &seqs);
+
+    /** Close the engine stream (idempotent). */
+    void finish();
+
+    const ContigMap &contigs() const { return _contigs; }
+    /** The SAM header's reference list. */
+    const std::vector<SamRefSeq> &samHeader() const { return _header; }
+    const IndexAttachment &indexAttachment() const { return _attach; }
+    /** The whole run degraded from GenAx to the software engine. */
+    bool softwareFallback() const { return _softwareFallback; }
+    /** Reads aligned so far. */
+    u64 readsAligned() const { return _base; }
+    /** Engine wall-clock: construction, batches and finish(). */
+    double seconds() const { return _seconds; }
+    /** Modelled report and host profile (GenAx engine, after
+     *  finish()). */
+    const GenAxPerf &perf() const { return _perf; }
+    const GenAxHostProfile &hostProfile() const { return _hostProfile; }
+
+    /** The software engine (Software engine or fallback only) — paired
+     *  mode pairs its per-mate candidates directly. */
+    const BwaMemLike &softwareEngine() const;
+
+  private:
+    explicit AlignSession(const std::vector<FastaRecord> &ref);
+
+    template <typename Fn>
+    void timed(Fn &&fn);
+
+    const ContigMap _contigs;
+    std::vector<SamRefSeq> _header;
+    IndexAttachment _attach; //!< backs the GenAx config's snapshot
+    bool _softwareFallback = false;
+    std::optional<GenAxSystem> _system; //!< GenAx engine
+    std::optional<BwaMemLike> _aligner; //!< software engine
+    u64 _base = 0;
+    bool _finished = false;
+    double _seconds = 0;
+    GenAxPerf _perf;
+    GenAxHostProfile _hostProfile;
 };
 
 /**
@@ -225,10 +319,9 @@ alignToSam(const std::vector<FastaRecord> &ref,
  * parse / align / emit overlap. At one effective worker width the
  * stages instead run synchronously on the calling thread — no
  * overlap is possible there and the queue hand-offs are measurable
- * overhead — with byte-identical output and fault replay. One
- * behavioural difference from the load-all path: a reader failure
- * (IO error, malformed budget exhausted) mid-run surfaces after
- * earlier batches' SAM records were already written.
+ * overhead — with byte-identical output and fault replay. A reader
+ * failure (IO error, malformed budget exhausted) mid-run surfaces
+ * after earlier batches' SAM records were already written.
  */
 StatusOr<PipelineResult>
 alignStreamToSam(const std::vector<FastaRecord> &ref,
@@ -236,7 +329,9 @@ alignStreamToSam(const std::vector<FastaRecord> &ref,
                  const PipelineOptions &opts);
 
 /** File-path convenience wrapper; IO failures surface as Status.
- *  Routes through the streaming path when opts.batchReads > 0. */
+ *  Streams when opts.batchReads > 0; otherwise parses the whole
+ *  read file first, so a read file that fails to parse creates no
+ *  SAM file. */
 StatusOr<PipelineResult> alignFiles(const std::string &ref_fasta,
                                     const std::string &reads_fastq,
                                     const std::string &out_sam,

@@ -56,9 +56,6 @@
 
 namespace genax {
 
-struct IndexFingerprint;
-class FlatKmerIndexMapping;
-
 /** Additive constant of the splitmix64 slot hash. Serialized into
  *  snapshot fingerprints: a snapshot built with a different hash
  *  stream can never be probed by this build's lookup(), so the
@@ -282,37 +279,7 @@ class FlatKmerIndex
 
     static constexpr u64 kEmptyKey = ~u64{0};
 
-    // ----- on-disk snapshots (defined in seed/index_snapshot.cc) ---
-
-    /**
-     * Write this index as a single-index store snapshot (kind
-     * "FKXIDX") through the atomic-write path. `fp` is the build
-     * fingerprint (k, hash seed, reference length/checksum) stamped
-     * into the file; fp.k must equal k().
-     */
-    Status save(const std::string &path,
-                const IndexFingerprint &fp) const;
-
-    /**
-     * Load a snapshot into an owning index (full copy, no mmap
-     * lifetime to manage). When `expect` is non-null the stored
-     * fingerprint must match it exactly.
-     */
-    static StatusOr<FlatKmerIndex>
-    load(const std::string &path,
-         const IndexFingerprint *expect = nullptr);
-
-    /**
-     * Open a snapshot zero-copy: the returned mapping owns the file
-     * bytes (mmap preferred, owned read on mmap failure) and exposes
-     * a borrowed FlatKmerIndex view over them.
-     */
-    static StatusOr<FlatKmerIndexMapping>
-    mapView(const std::string &path,
-            const IndexFingerprint *expect = nullptr);
-
   private:
-    friend class FlatKmerIndexMapping;
     FlatKmerIndex() = default; //!< storage bound by view()
 
     /** Point the lookup pointers at the owning vectors (after a

@@ -9,27 +9,11 @@ namespace genax {
 
 namespace {
 
-constexpr std::string_view kFlatIndexKind = "FKXIDX";
-constexpr u32 kFlatIndexKindVersion = 1;
 constexpr std::string_view kSnapshotKind = "GXSNAP";
 constexpr u32 kSnapshotKindVersion = 1;
 
 /** Contig names longer than this are rejected as corrupt. */
 constexpr u64 kMaxContigName = u64{1} << 16;
-
-/** "meta" section of a single-index ("FKXIDX") snapshot. */
-struct FlatIndexMeta
-{
-    IndexFingerprint fp;
-    u64 segLen;
-    u64 slots;
-    u64 positions;
-    u64 distinct;
-    u32 maxHits;
-    u32 pad;
-};
-static_assert(sizeof(FlatIndexMeta) == 72);
-static_assert(std::is_trivially_copyable_v<FlatIndexMeta>);
 
 /** "meta" section of a whole-reference ("GXSNAP") snapshot. */
 struct SnapshotMeta
@@ -172,121 +156,6 @@ checkFingerprint(const IndexFingerprint &got,
     if (got.refChecksum != want.refChecksum)
         return fail("refChecksum", got.refChecksum, want.refChecksum);
     return okStatus();
-}
-
-// ------------------------------------------------------------------
-// Single-index snapshots
-
-namespace {
-
-/** Everything parsed out of an opened "FKXIDX" store; the spans
- *  alias the store's bytes. */
-struct ParsedFlatIndex
-{
-    FlatIndexMeta meta;
-    std::span<const FlatKmerIndex::Entry> table;
-    std::span<const u32> positions;
-    std::vector<u64> filter; //!< built during validation, owned
-};
-
-StatusOr<ParsedFlatIndex>
-parseFlatIndex(const StoreFile &store)
-{
-    ParsedFlatIndex out;
-    GENAX_TRY_ASSIGN(const std::span<const FlatIndexMeta> metas,
-                     store.sectionAs<FlatIndexMeta>("meta"));
-    if (metas.size() != 1)
-        return snapshotError(store.path(), "malformed meta section");
-    out.meta = metas[0];
-    GENAX_TRY(validateFingerprintShape(store.path(), out.meta.fp));
-    GENAX_TRY_ASSIGN(out.table,
-                     store.sectionAs<FlatKmerIndex::Entry>("table"));
-    GENAX_TRY_ASSIGN(out.positions,
-                     store.sectionAs<u32>("postings"));
-    if (out.table.size() != out.meta.slots)
-        return snapshotError(store.path(),
-                             "table section does not match the "
-                             "recorded slot count");
-    if (out.positions.size() != out.meta.positions)
-        return snapshotError(store.path(),
-                             "postings section does not match the "
-                             "recorded position count");
-    GENAX_TRY(validateTable(store.path(), "index", out.table,
-                            out.positions.size(), out.meta.distinct,
-                            out.meta.maxHits, out.meta.fp.k,
-                            out.filter));
-    return out;
-}
-
-} // namespace
-
-Status
-FlatKmerIndex::save(const std::string &path,
-                    const IndexFingerprint &fp) const
-{
-    GENAX_CHECK(fp.k == _k, "fingerprint k ", fp.k,
-                " does not match index k ", _k);
-    GENAX_CHECK(fp.hashSeed == kFlatIndexHashSeed,
-                "fingerprint hash seed is not this build's seed");
-    FlatIndexMeta meta{};
-    meta.fp = fp;
-    meta.segLen = _segLen;
-    meta.slots = _slots;
-    meta.positions = _posCount;
-    meta.distinct = _distinct;
-    meta.maxHits = _maxHits;
-    StoreWriter w(kFlatIndexKind, kFlatIndexKindVersion);
-    w.addSection("meta", &meta, sizeof(meta));
-    w.addSection("table", _tablePtr, _slots * sizeof(Entry));
-    w.addSection("postings", _posPtr, _posCount * sizeof(u32));
-    return w.writeFile(path);
-}
-
-StatusOr<FlatKmerIndex>
-FlatKmerIndex::load(const std::string &path,
-                    const IndexFingerprint *expect)
-{
-    GENAX_TRY_ASSIGN(
-        const StoreFile store,
-        StoreFile::open(path, kFlatIndexKind, /*prefer_mmap=*/false));
-    GENAX_TRY_ASSIGN(ParsedFlatIndex p, parseFlatIndex(store));
-    if (expect != nullptr)
-        GENAX_TRY(checkFingerprint(p.meta.fp, *expect)
-                      .withContext("snapshot " + path));
-    FlatKmerIndex idx;
-    idx._k = p.meta.fp.k;
-    idx._segLen = p.meta.segLen;
-    idx._maxHits = p.meta.maxHits;
-    idx._distinct = p.meta.distinct;
-    idx._mask = p.table.size() - 1;
-    idx._table.assign(p.table.begin(), p.table.end());
-    idx._positions.assign(p.positions.begin(), p.positions.end());
-    idx._filter = std::move(p.filter);
-    idx.bindOwned();
-    return idx;
-}
-
-StatusOr<FlatKmerIndexMapping>
-FlatKmerIndex::mapView(const std::string &path,
-                       const IndexFingerprint *expect)
-{
-    GENAX_TRY_ASSIGN(
-        StoreFile store,
-        StoreFile::open(path, kFlatIndexKind, /*prefer_mmap=*/true));
-    GENAX_TRY_ASSIGN(ParsedFlatIndex p, parseFlatIndex(store));
-    if (expect != nullptr)
-        GENAX_TRY(checkFingerprint(p.meta.fp, *expect)
-                      .withContext("snapshot " + path));
-    FlatKmerIndexMapping m;
-    // The spans stay valid across the moves: the mapping, the owned
-    // buffer and the filter vector all keep their addresses.
-    m._store = std::move(store);
-    m._fp = p.meta.fp;
-    m._filter = std::move(p.filter);
-    m._view = FlatKmerIndex::view(p.table, p.positions, p.meta.fp.k,
-                                  p.meta.segLen, p.meta.maxHits,
-                                  p.meta.distinct, m._filter);
-    return m;
 }
 
 // ------------------------------------------------------------------

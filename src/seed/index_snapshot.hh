@@ -1,19 +1,12 @@
 /**
  * @file
  * On-disk index snapshots over the crash-safe store container
- * (io/store.hh).
- *
- * Two store kinds live here:
- *
- *  - "FKXIDX": one FlatKmerIndex (table + postings + metadata). The
- *    member functions FlatKmerIndex::{save, load, mapView} declared
- *    in flat_kmer_index.hh are defined in index_snapshot.cc.
- *
- *  - "GXSNAP": a whole-reference snapshot — the concatenated
- *    reference bases, the contig map, the segmentation geometry and
- *    one FlatKmerIndex per segment. genax_index --format flat writes
- *    one; genax_align --index mmaps it and aligns without rebuilding
- *    any per-segment index.
+ * (io/store.hh): the "GXSNAP" store kind, a whole-reference
+ * snapshot — the concatenated reference bases, the contig map, the
+ * segmentation geometry and one FlatKmerIndex per segment.
+ * genax_index writes one; genax_align --index and genax_serve
+ * --index mmap it and align without rebuilding any per-segment
+ * index.
  *
  * Every snapshot embeds an IndexFingerprint (k, slot-hash seed,
  * reference length and checksum). Loaders compare it against the
@@ -23,17 +16,16 @@
  * the checksum walk), which callers may treat as "rebuild from
  * FASTA".
  *
- * Lifetime rule for zero-copy views: FlatKmerIndexMapping and
- * IndexSnapshot own the backing bytes (mmap or owned read); every
- * FlatKmerIndex view and span they hand out aliases those bytes and
- * must not outlive the owner. Moving the owner keeps views valid;
- * destroying it invalidates them.
+ * Lifetime rule for zero-copy views: IndexSnapshot owns the backing
+ * bytes (mmap or owned read); every FlatKmerIndex view and span it
+ * hands out aliases those bytes and must not outlive the owner.
+ * Moving the owner keeps views valid; destroying it invalidates
+ * them.
  */
 
 #ifndef GENAX_SEED_INDEX_SNAPSHOT_HH
 #define GENAX_SEED_INDEX_SNAPSHOT_HH
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,35 +65,6 @@ IndexFingerprint referenceFingerprint(const Seq &ref, u32 k);
  *  naming the first mismatching field otherwise. */
 Status checkFingerprint(const IndexFingerprint &got,
                         const IndexFingerprint &want);
-
-// ------------------------------------------------------------------
-// Single-index snapshots ("FKXIDX")
-
-/**
- * Owner of a mapped single-index snapshot: holds the store bytes and
- * a borrowed FlatKmerIndex view over them (see the file comment's
- * lifetime rule).
- */
-class FlatKmerIndexMapping
-{
-  public:
-    const FlatKmerIndex &index() const { return *_view; }
-    const IndexFingerprint &fingerprint() const { return _fp; }
-
-    /** True on the zero-copy mmap path, false after the owned-read
-     *  fallback (io.store.mmap_fail). */
-    bool mapped() const { return _store.mapped(); }
-
-  private:
-    friend class FlatKmerIndex; // filled by FlatKmerIndex::mapView
-
-    FlatKmerIndexMapping() = default;
-
-    StoreFile _store;
-    IndexFingerprint _fp;
-    std::vector<u64> _filter; //!< presence filter built at open
-    std::optional<FlatKmerIndex> _view;
-};
 
 // ------------------------------------------------------------------
 // Whole-reference snapshots ("GXSNAP")

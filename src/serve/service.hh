@@ -3,13 +3,16 @@
  * Load-once alignment service: the daemon-resident engine the
  * batcher drives.
  *
- * Construction does everything an offline `genax_align --index` run
- * does once per invocation — parse/concatenate the reference, run
- * the PR 7 snapshot attach policy (zero-copy mmap when the snapshot
- * is healthy, rebuild-from-FASTA degradation when it is corrupt or
- * missing, hard FailedPrecondition on a reference mismatch), build
- * the engine and open the stream (`streamBegin`) — so every request
- * after that pays only alignment, never startup.
+ * Construction opens the same AlignSession an offline
+ * `genax_align --index` run opens once per invocation — reference
+ * validation and concatenation, the snapshot attach policy
+ * (zero-copy mmap when the snapshot is healthy, rebuild-from-FASTA
+ * degradation when it is corrupt or missing, hard
+ * FailedPrecondition on a reference mismatch), the software-fallback
+ * decision, engine construction and stream open — so every request
+ * after that pays only alignment, never startup. Served reads skip
+ * the offline pipeline's admission fault point
+ * (genax.pipeline.read); every other step is the session's.
  *
  * Byte-identity contract: per-read mappings are a pure function of
  * (read, reference, config) — batch composition and the stream's
@@ -32,7 +35,6 @@
 #define GENAX_SERVE_SERVICE_HH
 
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,22 +42,12 @@
 #include "genax/pipeline.hh"
 #include "io/fasta.hh"
 #include "io/fastq.hh"
-#include "swbase/bwamem_like.hh"
 
 namespace genax {
 
-/** Engine/config knobs for one daemon lifetime. */
-struct ServiceConfig
-{
-    PipelineOptions::Engine engine = PipelineOptions::Engine::GenAx;
-    u32 k = 12;
-    u32 band = 40;
-    u64 segments = 8;
-    u64 segmentOverlap = 256;
-    unsigned threads = 1;
-    /** Optional index snapshot path (PR 7 attach semantics). */
-    std::string indexSnapshot;
-};
+/** Engine/config knobs for one daemon lifetime (the offline
+ *  pipeline's engine options, snapshot attach semantics included). */
+using ServiceConfig = EngineOptions;
 
 /** One batch's results: SAM lines plus per-read outcomes. */
 struct BatchOutcome
@@ -79,8 +71,9 @@ struct BatchOutcome
 class AlignService
 {
   public:
-    /** Parse nothing — the reference is already in memory. Runs the
-     *  snapshot policy, constructs the engine, opens the stream. */
+    /** Parse nothing — the reference is already in memory. Opens the
+     *  alignment session: validation, snapshot policy, engine
+     *  construction, stream open. */
     static StatusOr<std::unique_ptr<AlignService>>
     create(std::vector<FastaRecord> ref, const ServiceConfig &cfg);
 
@@ -96,34 +89,31 @@ class AlignService
     BatchOutcome alignBatch(const std::vector<FastqRecord> &reads);
 
     /** Close the engine stream (idempotent; called at shutdown). */
-    void finish();
+    void finish() { _session->finish(); }
 
     /** Snapshot disposition for startup logs / stats. */
-    const IndexAttachment &indexAttachment() const { return _attach; }
+    const IndexAttachment &
+    indexAttachment() const
+    {
+        return _session->indexAttachment();
+    }
 
     /** Whole service degraded to the software engine (band beyond
      *  the SillaX bound). */
-    bool softwareFallback() const { return _softwareFallback; }
+    bool softwareFallback() const { return _session->softwareFallback(); }
 
-    u64 readsServed() const { return _base; }
+    u64 readsServed() const { return _session->readsAligned(); }
 
   private:
-    AlignService() = default;
+    explicit AlignService(std::unique_ptr<AlignSession> session);
 
-    std::vector<FastaRecord> _ref;
-    std::optional<ContigMap> _contigs;
-    IndexAttachment _attach;
-    bool _softwareFallback = false;
-    std::optional<GenAxSystem> _system;  //!< GenAx engine
-    std::optional<BwaMemLike> _aligner;  //!< software engine
-    bool _finished = false;
-    u64 _base = 0; //!< admitted reads before the current batch
+    std::unique_ptr<AlignSession> _session;
 
     /** Persistent SAM formatting stage: the writer emits its header
      *  once at construction (captured into _header), then each
      *  batch's records are staged here and split back per read. */
     std::ostringstream _stage;
-    std::optional<SamWriter> _sam;
+    SamWriter _sam;
     std::string _header;
 };
 

@@ -28,6 +28,7 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
+#include "silla/silla.hh"
 
 namespace genax {
 namespace {
@@ -336,6 +337,50 @@ TEST(AlignServiceTest, BatchMatchesOfflinePipelineByteForByte)
         served += line;
     EXPECT_EQ(served, offlineSam(w, w.reads));
     (*svc)->finish();
+}
+
+TEST(AlignServiceTest, SoftwareFallbackMatchesOfflinePipeline)
+{
+    const Workload w = makeWorkload();
+    ServiceConfig cfg = serviceConfig();
+    cfg.band = kMaxSillaK + 1; // beyond what a SillaX lane supports
+    auto svc = AlignService::create(w.ref, cfg);
+    ASSERT_TRUE(svc.ok()) << svc.status().str();
+    EXPECT_TRUE((*svc)->softwareFallback());
+
+    const BatchOutcome out = (*svc)->alignBatch(w.reads);
+    ASSERT_EQ(out.outcomes.size(), w.reads.size());
+    EXPECT_EQ(out.mapped, 0u);
+    EXPECT_GT(out.degraded, 0u);
+    for (const u8 o : out.outcomes)
+        EXPECT_NE(o, BatchOutcome::kMapped);
+
+    PipelineOptions opts;
+    static_cast<EngineOptions &>(opts) = cfg;
+    std::ostringstream offline;
+    const auto res = alignToSam(w.ref, w.reads, offline, opts);
+    ASSERT_TRUE(res.ok()) << res.status().str();
+    EXPECT_TRUE(res->softwareFallback);
+    std::string served = (*svc)->headerText();
+    for (const auto &line : out.samLines)
+        served += line;
+    EXPECT_EQ(served, offline.str());
+    (*svc)->finish();
+}
+
+TEST(AlignServiceTest, EmptyContigIsTheOfflineInvalidInput)
+{
+    std::vector<FastaRecord> ref = makeWorkload().ref;
+    ref.push_back({"empty", {}});
+    std::ostringstream sink;
+    const auto offline =
+        alignToSam(ref, {}, sink, PipelineOptions{});
+    ASSERT_FALSE(offline.ok());
+    EXPECT_EQ(offline.status().code(), StatusCode::InvalidInput);
+
+    const auto svc = AlignService::create(ref, serviceConfig());
+    ASSERT_FALSE(svc.ok());
+    EXPECT_EQ(svc.status().str(), offline.status().str());
 }
 
 TEST(BatcherTest, ConcurrentClientsEachGetTheirOwnSliceInOrder)

@@ -397,59 +397,6 @@ TEST(StoreChaos, SeededBitFlipsNeverCrashAndNeverLie)
     fs::remove_all(dir);
 }
 
-// ------------------------------------------- FlatKmerIndex snapshots
-
-TEST(FlatIndexSnapshot, SaveLoadMapViewAreEquivalent)
-{
-    const fs::path dir = scratchDir("genax_flatidx_snap");
-    const std::string path = (dir / "seg.fkx").string();
-
-    Rng rng(904);
-    const Seq ref = randomSeq(rng, 6000);
-    const u32 k = 9;
-    const FlatKmerIndex built(ref, k);
-    const IndexFingerprint fp = referenceFingerprint(ref, k);
-    ASSERT_TRUE(built.save(path, fp).ok());
-
-    auto loaded = FlatKmerIndex::load(path, &fp);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().str();
-    EXPECT_FALSE(loaded->borrowed());
-
-    auto mapping = FlatKmerIndex::mapView(path, &fp);
-    ASSERT_TRUE(mapping.ok()) << mapping.status().str();
-    EXPECT_TRUE(mapping->index().borrowed());
-    EXPECT_TRUE(mapping->mapped());
-
-    const FlatKmerIndex &owned_idx = *loaded;
-    const FlatKmerIndex &mapped_idx = mapping->index();
-    for (const FlatKmerIndex *idx : {&owned_idx, &mapped_idx}) {
-        EXPECT_EQ(idx->k(), built.k());
-        EXPECT_EQ(idx->segmentLength(), built.segmentLength());
-        EXPECT_EQ(idx->maxHitListSize(), built.maxHitListSize());
-        for (u64 key = 0; key < (u64{1} << (2 * k)); ++key) {
-            const auto want = built.lookup(key);
-            const auto got = idx->lookup(key);
-            ASSERT_EQ(got.size(), want.size()) << "key " << key;
-            ASSERT_TRUE(std::equal(got.begin(), got.end(),
-                                   want.begin()))
-                << "key " << key;
-        }
-    }
-
-    // A fingerprint from any other reference or k is rejected as
-    // FailedPrecondition — distinct from corruption.
-    const IndexFingerprint wrong_k = referenceFingerprint(ref, k + 1);
-    auto rk = FlatKmerIndex::load(path, &wrong_k);
-    ASSERT_FALSE(rk.ok());
-    EXPECT_EQ(rk.status().code(), StatusCode::FailedPrecondition);
-    const Seq other = randomSeq(rng, 6000);
-    const IndexFingerprint wrong_ref = referenceFingerprint(other, k);
-    auto rr = FlatKmerIndex::mapView(path, &wrong_ref);
-    ASSERT_FALSE(rr.ok());
-    EXPECT_EQ(rr.status().code(), StatusCode::FailedPrecondition);
-    fs::remove_all(dir);
-}
-
 /** Bit-for-bit equality of two presence filters. */
 bool
 sameFilter(const FlatKmerIndex &a, const FlatKmerIndex &b)
@@ -457,36 +404,6 @@ sameFilter(const FlatKmerIndex &a, const FlatKmerIndex &b)
     const auto fa = a.presenceFilterSpan();
     const auto fb = b.presenceFilterSpan();
     return std::equal(fa.begin(), fa.end(), fb.begin(), fb.end());
-}
-
-TEST(FlatIndexSnapshot, PresenceFilterRebuiltAtOpenMatchesOwned)
-{
-    // The filter is not on disk: load() and mapView() rebuild it in
-    // the validation walk, and it must equal the owning build's.
-    const fs::path dir = scratchDir("genax_flatidx_filter");
-    const std::string path = (dir / "seg.fkx").string();
-    Rng rng(907);
-    const Seq ref = randomSeq(rng, 60000);
-    const u32 k = 11;
-    const FlatKmerIndex built(ref, k);
-    ASSERT_FALSE(built.presenceFilterSpan().empty());
-    const IndexFingerprint fp = referenceFingerprint(ref, k);
-    ASSERT_TRUE(built.save(path, fp).ok());
-
-    auto loaded = FlatKmerIndex::load(path, &fp);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().str();
-    auto mapping = FlatKmerIndex::mapView(path, &fp);
-    ASSERT_TRUE(mapping.ok()) << mapping.status().str();
-    // Moving the owner keeps the view's filter valid.
-    const FlatKmerIndexMapping moved = std::move(*mapping);
-    const FlatKmerIndex &owned_idx = *loaded;
-    for (const FlatKmerIndex *idx : {&owned_idx, &moved.index()}) {
-        EXPECT_TRUE(sameFilter(*idx, built));
-        for (size_t pos = 0; pos + k <= ref.size(); ++pos)
-            ASSERT_TRUE(idx->mayContain(idx->packKmer(ref, pos)))
-                << "false negative at " << pos;
-    }
-    fs::remove_all(dir);
 }
 
 // --------------------------------------------- whole-ref snapshots
@@ -570,6 +487,25 @@ TEST(IndexSnapshot, BuildOpenRoundTrip)
             ASSERT_EQ(got.size(), want.size());
             ASSERT_TRUE(std::equal(got.begin(), got.end(),
                                    want.begin()));
+        }
+    }
+
+    // The owned-read path (no mmap) serves the same views.
+    auto owned = IndexSnapshot::open(path, /*prefer_mmap=*/false);
+    ASSERT_TRUE(owned.ok()) << owned.status().str();
+    EXPECT_FALSE(owned->mapped());
+    ASSERT_EQ(owned->segmentCount(), snap->segmentCount());
+    for (u64 i = 0; i < snap->segmentCount(); ++i) {
+        const FlatKmerIndex a = snap->segmentView(i);
+        const FlatKmerIndex b = owned->segmentView(i);
+        EXPECT_EQ(b.maxHitListSize(), a.maxHitListSize());
+        EXPECT_TRUE(sameFilter(a, b)) << "segment " << i;
+        for (u64 key = 0; key < (u64{1} << (2 * cfg.k)); ++key) {
+            const auto want = a.lookup(key);
+            const auto got = b.lookup(key);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   want.begin(), want.end()))
+                << "segment " << i << " key " << key;
         }
     }
 

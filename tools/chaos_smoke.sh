@@ -141,7 +141,7 @@ if [[ -n "$index_bin" ]]; then
     if [[ ! -x "$index_bin" ]]; then
         err "$index_bin not executable"
     else
-        "$index_bin" --ref "$tmp/ref.fa" --out "$tmp/snap.gxs"             --format flat --segments 4 --k 11             >/dev/null 2>"$tmp/index.log"
+        "$index_bin" --ref "$tmp/ref.fa" --out "$tmp/snap.gxs"             --segments 4 --k 11             >/dev/null 2>"$tmp/index.log"
         [[ $? -eq 0 ]] || err "flat snapshot build failed"
         "$index_bin" --verify "$tmp/snap.gxs" >/dev/null 2>&1 ||
             err "verify of the fresh snapshot failed"

@@ -70,10 +70,10 @@ printHelp(const char *prog, std::FILE *to)
         "                     output is identical at any batch size;\n"
         "                     single-end mode only\n"
         "  --index FILE       prebuilt index snapshot from\n"
-        "                     'genax_index --format flat'; mmapped\n"
-        "                     zero-copy, skipping the per-run index\n"
-        "                     build. The snapshot's k/segments/overlap\n"
-        "                     override the flags above. A corrupt\n"
+        "                     genax_index; mmapped zero-copy,\n"
+        "                     skipping the per-run index build. The\n"
+        "                     snapshot's k/segments/overlap override\n"
+        "                     the flags above. A corrupt\n"
         "                     snapshot degrades to rebuild-from-FASTA\n"
         "                     (exit 1); one built from a different\n"
         "                     reference is a hard error (exit 3)\n"
