@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "align/edit_distance.hh"
 #include "align/gotoh.hh"
 #include "align/lev_automaton.hh"
@@ -15,7 +17,6 @@
 #include "align/simd/dispatch.hh"
 #include "align/simd/myers_batch.hh"
 #include "align/simd/striped.hh"
-#include "align/wavefront.hh"
 #include "align/wfa.hh"
 #include "common/rng.hh"
 
@@ -108,9 +109,13 @@ BENCHMARK(BM_MyersBitVector)->Arg(101)->Arg(400);
 void
 BM_WavefrontEditDistance(benchmark::State &state)
 {
+    // Unit-penalty WFA: the O(ND) wavefront edit distance.
     const auto p = makePair(7, state.range(0), 3);
+    const WfaPenalties unit{1, 0, 1};
+    const u64 cap = std::max(p.ref.size(), p.qry.size());
     for (auto _ : state)
-        benchmark::DoNotOptimize(wavefrontEditDistance(p.ref, p.qry));
+        benchmark::DoNotOptimize(
+            wfaGlobalPenalty(p.ref, p.qry, unit, cap));
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WavefrontEditDistance)->Arg(101)->Arg(400)->Arg(4000);

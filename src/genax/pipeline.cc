@@ -13,6 +13,7 @@
 #include "common/check.hh"
 #include "common/faultinject.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/threadpool.hh"
 #include "io/sam.hh"
 #include "seed/index_snapshot.hh"
@@ -87,6 +88,18 @@ pipelineSamRecord(const ContigMap &contigs, const FastqRecord &read,
 
 namespace {
 
+/** Fold one admitted read's outcome into the ledger. */
+void
+countOutcome(const Mapping &m, bool via_fallback, PipelineResult &res)
+{
+    if (!m.mapped)
+        ++res.unmapped;
+    else if (via_fallback)
+        ++res.degraded;
+    else
+        ++res.mapped;
+}
+
 /**
  * Emit one batch's SAM records in input order and fold its outcomes
  * into the ledger. `reads` and `failed` cover the whole batch;
@@ -107,14 +120,8 @@ emitBatch(SamWriter &sam, const ContigMap &contigs,
             continue;
         }
         const Mapping &m = maps[live];
-        const bool via_fallback = degraded[live] != 0;
+        countOutcome(m, degraded[live] != 0, res);
         ++live;
-        if (!m.mapped)
-            ++res.unmapped;
-        else if (via_fallback)
-            ++res.degraded;
-        else
-            ++res.mapped;
         sam.write(pipelineSamRecord(contigs, reads[i], m));
     }
 }
@@ -323,12 +330,30 @@ AlignSession::finish()
     _hostProfile = _system->hostProfile();
 }
 
-const BwaMemLike &
-AlignSession::softwareEngine() const
+AlignSession::Candidates
+AlignSession::candidates(const std::vector<Seq> &seqs, u32 max_per_read)
 {
-    GENAX_CHECK(_aligner.has_value(),
-                "software engine requested from a GenAx session");
-    return *_aligner;
+    GENAX_CHECK(!_finished,
+                "candidates() after the session was finished");
+    Candidates out;
+    timed([&] {
+        if (_system) {
+            out.lists =
+                _system->streamBatchCandidates(seqs, _base, max_per_read);
+            out.degraded = _system->degradedReads();
+        } else {
+            out.lists.resize(seqs.size());
+            parallelFor(seqs.size(), _aligner->config().threads,
+                        [&](u64 lo, u64 hi) {
+                            for (u64 i = lo; i < hi; ++i)
+                                out.lists[i] = _aligner->candidates(
+                                    seqs[i], max_per_read);
+                        });
+            out.degraded.assign(seqs.size(), _softwareFallback ? 1 : 0);
+        }
+    });
+    _base += seqs.size();
+    return out;
 }
 
 namespace {
@@ -362,166 +387,6 @@ alignBatch(AlignSession &session, SamWriter &sam,
     emitBatch(sam, session.contigs(), reads, failed, aligned.maps,
               aligned.degraded, res);
 }
-
-/** Close a single-end run: fold the session's run-level outcome into
- *  the result and check the output stream and the ledger. */
-StatusOr<PipelineResult>
-closeRun(const AlignSession &session, const SamWriter &sam,
-         bool written, PipelineResult res)
-{
-    if (!written)
-        return ioError("failed writing SAM output after " +
-                       std::to_string(sam.count()) + " records");
-    const IndexAttachment &att = session.indexAttachment();
-    res.indexFromSnapshot = att.fromSnapshot;
-    res.indexMapped = att.mapped;
-    res.indexFallback = att.fallback;
-    res.indexNote = att.note;
-    res.softwareFallback = session.softwareFallback();
-    res.seconds = session.seconds();
-    res.perf = session.perf();
-    res.hostProfile = session.hostProfile();
-    GENAX_CHECK(res.ledgerBalanced(),
-                "pipeline ledger out of balance: ", res.mapped, "+",
-                res.unmapped, "+", res.skippedMalformed, "+",
-                res.degraded, "+", res.failed, " != ", res.reads);
-    return res;
-}
-
-} // namespace
-
-StatusOr<PipelineResult>
-alignToSam(const std::vector<FastaRecord> &ref,
-           const std::vector<FastqRecord> &reads, std::ostream &out,
-           const PipelineOptions &opts)
-{
-    GENAX_TRY_ASSIGN(const auto session, AlignSession::open(ref, opts));
-    PipelineResult res;
-    SamWriter sam(out, session->samHeader());
-    alignBatch(*session, sam, reads, res);
-    session->finish();
-    return closeRun(*session, sam, static_cast<bool>(out),
-                    std::move(res));
-}
-
-StatusOr<PipelineResult>
-alignStreamToSam(const std::vector<FastaRecord> &ref,
-                 FastqReader &reads, std::ostream &out,
-                 const PipelineOptions &opts)
-{
-    GENAX_TRY_ASSIGN(const auto session, AlignSession::open(ref, opts));
-    PipelineResult res;
-
-    const u64 batch_size =
-        opts.batchReads == 0 ? ~u64{0} : opts.batchReads;
-
-    // IO-overlap policy: at one effective worker nothing can overlap
-    // — parallelFor already runs inline at width 1 — so the reader
-    // and writer threads plus their queue hand-offs would be pure
-    // dispatch overhead. The single-width path parses, aligns and
-    // writes synchronously on this thread instead. Record order,
-    // every fault site's ordinal stream and the SAM byte stream are
-    // identical either way: the threaded reader parses strictly
-    // sequentially and the writer drains in batch order.
-    const bool inline_io = ThreadPool::resolveWidth(opts.threads) == 1;
-
-    // Reader stage: one prefetch thread keeps the next batch in
-    // flight while the current one aligns. The parse itself stays
-    // strictly sequential on that thread, so record order — and the
-    // parser fault sites' per-site ordinal replay — is exactly what
-    // a synchronous read would produce.
-    BoundedQueue<StatusOr<std::vector<FastqRecord>>> parsed(1);
-    std::thread reader_thread;
-    if (!inline_io) {
-        reader_thread = std::thread([&] {
-            for (;;) {
-                auto batch = reads.nextBatch(batch_size);
-                const bool stop = !batch.ok() || batch->empty();
-                if (!parsed.push(std::move(batch)))
-                    break; // aligner bailed out; stop reading
-                if (stop)
-                    break;
-            }
-            parsed.close();
-        });
-    }
-
-    // Writer stage: records are formatted into an in-memory stage on
-    // this thread (keeping the sam.write fault ordinals in emission
-    // order) and the finished text drains to `out` in batch order on
-    // the writer thread. An injected write fault poisons the stage's
-    // stream state exactly like a real device error poisons a file
-    // stream, and is checked the same way at the end of the run.
-    std::ostringstream stage;
-    SamWriter sam(stage, session->samHeader());
-    BoundedQueue<std::string> emitted(2);
-    std::thread writer_thread;
-    if (!inline_io) {
-        writer_thread = std::thread([&] {
-            for (;;) {
-                auto text = emitted.pop();
-                if (!text)
-                    break;
-                out.write(text->data(),
-                          static_cast<std::streamsize>(text->size()));
-            }
-        });
-    }
-    const auto flush_stage = [&] {
-        std::string text = stage.str();
-        stage.str(std::string());
-        if (text.empty())
-            return;
-        if (inline_io)
-            out.write(text.data(),
-                      static_cast<std::streamsize>(text.size()));
-        else
-            emitted.push(std::move(text));
-    };
-    flush_stage(); // the header, so an empty input still yields SAM
-
-    Status failure = okStatus();
-    for (;;) {
-        StatusOr<std::vector<FastqRecord>> next{
-            std::vector<FastqRecord>{}};
-        if (inline_io) {
-            next = reads.nextBatch(batch_size);
-        } else {
-            auto popped = parsed.pop();
-            if (!popped)
-                break;
-            next = std::move(*popped);
-        }
-        if (!next.ok()) {
-            failure = next.status();
-            break;
-        }
-        const std::vector<FastqRecord> batch =
-            std::move(next).value();
-        if (batch.empty())
-            break;
-        alignBatch(*session, sam, batch, res);
-        flush_stage();
-    }
-
-    if (failure.ok())
-        session->finish();
-
-    // Wind down the IO stages (close() unblocks a reader stuck on a
-    // full queue after an early exit).
-    if (!inline_io) {
-        parsed.close();
-        reader_thread.join();
-        emitted.close();
-        writer_thread.join();
-    }
-
-    if (!failure.ok())
-        return failure;
-    return closeRun(*session, sam, stage && out, std::move(res));
-}
-
-namespace {
 
 /** Fill one mate's SAM record from its mapping and its mate's. */
 SamRecord
@@ -574,40 +439,41 @@ pairedRecord(const ContigMap &contigs, const FastqRecord &read,
     return rec;
 }
 
-} // namespace
-
-StatusOr<PipelineResult>
-alignPairsToSam(const std::vector<FastaRecord> &ref,
-                const std::vector<FastqRecord> &reads1,
-                const std::vector<FastqRecord> &reads2,
-                std::ostream &out, const PipelineOptions &opts)
+/**
+ * One batch of mate pairs through a session. Admission is per
+ * template: a genax.pipeline.read fault fails both mates, emitted as
+ * unmapped placeholders and counted Failed. The admitted mates go to
+ * the engine interleaved (r1_0, r2_0, r1_1, ...), so a mate's stream
+ * index — which keys the engine's per-read fault sites — is the same
+ * at any batch split. resolvePair then picks each template's
+ * placement from its two candidate lists.
+ */
+void
+alignPairBatch(AlignSession &session, SamWriter &sam,
+               const std::vector<FastqRecord> &reads1,
+               const std::vector<FastqRecord> &reads2,
+               PipelineResult &res)
 {
-    if (reads1.size() != reads2.size()) {
-        return invalidInputError(
-            "mate files differ in read count: " +
-            std::to_string(reads1.size()) + " vs " +
-            std::to_string(reads2.size()) +
-            " (skipped malformed records can desynchronize mates)");
-    }
-    // Pairing runs on the software engine only and never reads a
-    // snapshot.
-    EngineOptions sw = opts;
-    sw.engine = EngineOptions::Engine::Software;
-    sw.indexSnapshot.clear();
-    GENAX_TRY_ASSIGN(const auto session, AlignSession::open(ref, sw));
-    const ContigMap &contigs = session->contigs();
-    const PairedAligner paired(session->softwareEngine());
-
-    PipelineResult res;
-    res.reads = reads1.size() * 2;
-    SamWriter sam(out, session->samHeader());
-
-    const auto t0 = std::chrono::steady_clock::now();
+    res.reads += 2 * reads1.size();
+    std::vector<u8> failed(reads1.size(), 0);
+    std::vector<Seq> seqs;
+    seqs.reserve(2 * reads1.size());
     for (size_t i = 0; i < reads1.size(); ++i) {
-        // A pipeline.read fault fails the whole template: both mates
-        // are emitted as unmapped placeholders and counted Failed.
         if (faultFires(fault::kPipelineRead)) [[unlikely]] {
+            failed[i] = 1;
             res.failed += 2;
+            continue;
+        }
+        seqs.push_back(reads1[i].seq);
+        seqs.push_back(reads2[i].seq);
+    }
+    const PairedConfig pcfg;
+    const AlignSession::Candidates cands =
+        session.candidates(seqs, pcfg.candidatesPerMate);
+    const ContigMap &contigs = session.contigs();
+    size_t live = 0; // index of the next admitted template's r1
+    for (size_t i = 0; i < reads1.size(); ++i) {
+        if (failed[i]) {
             SamRecord r1 = pipelineUnmappedRecord(reads1[i]);
             r1.flag |= kSamPaired | kSamRead1 | kSamMateUnmapped;
             SamRecord r2 = pipelineUnmappedRecord(reads2[i]);
@@ -616,7 +482,11 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
             sam.write(r2);
             continue;
         }
-        PairMapping pm = paired.alignPair(reads1[i].seq, reads2[i].seq);
+        PairMapping pm = resolvePair(cands.lists[live],
+                                     cands.lists[live + 1], pcfg);
+        countOutcome(pm.r1, cands.degraded[live] != 0, res);
+        countOutcome(pm.r2, cands.degraded[live + 1] != 0, res);
+        live += 2;
         // Pairing works in concatenated coordinates; a pair whose
         // mates land on different contigs is not a proper pair.
         if (pm.proper &&
@@ -625,23 +495,256 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
             pm.proper = false;
             pm.templateLen = 0;
         }
-        res.mapped += pm.r1.mapped + pm.r2.mapped;
-        res.unmapped += !pm.r1.mapped + !pm.r2.mapped;
         sam.write(pairedRecord(contigs, reads1[i], pm.r1, pm.r2, pm,
                                true));
         sam.write(pairedRecord(contigs, reads2[i], pm.r2, pm.r1, pm,
                                false));
     }
-    const auto t1 = std::chrono::steady_clock::now();
-    res.seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (!out)
+}
+
+/** Mates pair up by index, so the mate files must agree in count. */
+Status
+checkMateCounts(u64 reads1, u64 reads2)
+{
+    if (reads1 == reads2)
+        return okStatus();
+    return invalidInputError(
+        "mate files differ in read count: " + std::to_string(reads1) +
+        " vs " + std::to_string(reads2) +
+        " (skipped malformed records can desynchronize mates)");
+}
+
+/** One paired stream batch: the next records of each mate file. */
+struct MateBatch
+{
+    std::vector<FastqRecord> reads1, reads2;
+
+    bool empty() const { return reads1.empty(); }
+};
+
+/** Close a run: fold the session's run-level outcome into the
+ *  result and check the output stream and the ledger. */
+StatusOr<PipelineResult>
+closeRun(const AlignSession &session, const SamWriter &sam,
+         bool written, PipelineResult res)
+{
+    if (!written)
         return ioError("failed writing SAM output after " +
                        std::to_string(sam.count()) + " records");
+    const IndexAttachment &att = session.indexAttachment();
+    res.indexFromSnapshot = att.fromSnapshot;
+    res.indexMapped = att.mapped;
+    res.indexFallback = att.fallback;
+    res.indexNote = att.note;
+    res.softwareFallback = session.softwareFallback();
+    res.seconds = session.seconds();
+    res.perf = session.perf();
+    res.hostProfile = session.hostProfile();
     GENAX_CHECK(res.ledgerBalanced(),
-                "paired pipeline ledger out of balance: ", res.mapped,
-                "+", res.unmapped, "+", res.skippedMalformed, "+",
+                "pipeline ledger out of balance: ", res.mapped, "+",
+                res.unmapped, "+", res.skippedMalformed, "+",
                 res.degraded, "+", res.failed, " != ", res.reads);
     return res;
+}
+
+/**
+ * The load-all driver: open a session and run one batch through
+ * `align_one(session, sam, res)` straight into `out` — no threads,
+ * no stage buffer.
+ */
+template <typename AlignOne>
+StatusOr<PipelineResult>
+alignOnce(const std::vector<FastaRecord> &ref, std::ostream &out,
+          const PipelineOptions &opts, AlignOne &&align_one)
+{
+    GENAX_TRY_ASSIGN(const auto session, AlignSession::open(ref, opts));
+    PipelineResult res;
+    SamWriter sam(out, session->samHeader());
+    align_one(*session, sam, res);
+    session->finish();
+    return closeRun(*session, sam, static_cast<bool>(out),
+                    std::move(res));
+}
+
+/**
+ * The streaming driver, single-end and paired: `next(n)` yields the
+ * next StatusOr<Batch> of up to n records per read file (an empty
+ * batch ends the stream) and `align_one(session, sam, batch, res)`
+ * aligns one batch and formats its SAM records.
+ */
+template <typename Batch, typename Next, typename AlignOne>
+StatusOr<PipelineResult>
+streamToSam(const std::vector<FastaRecord> &ref, std::ostream &out,
+            const PipelineOptions &opts, Next &&next,
+            AlignOne &&align_one)
+{
+    GENAX_TRY_ASSIGN(const auto session, AlignSession::open(ref, opts));
+    PipelineResult res;
+
+    const u64 batch_size =
+        opts.batchReads == 0 ? ~u64{0} : opts.batchReads;
+
+    // IO-overlap policy: at one effective worker nothing can overlap
+    // — parallelFor already runs inline at width 1 — so the reader
+    // and writer threads plus their queue hand-offs would be pure
+    // dispatch overhead. The single-width path parses, aligns and
+    // writes synchronously on this thread instead. Record order,
+    // every fault site's ordinal stream and the SAM byte stream are
+    // identical either way: the threaded reader parses strictly
+    // sequentially and the writer drains in batch order.
+    const bool inline_io = ThreadPool::resolveWidth(opts.threads) == 1;
+
+    // Reader stage: one prefetch thread keeps the next batch in
+    // flight while the current one aligns. The parse itself stays
+    // strictly sequential on that thread, so record order — and the
+    // parser fault sites' per-site ordinal replay — is exactly what
+    // a synchronous read would produce.
+    BoundedQueue<StatusOr<Batch>> parsed(1);
+    std::thread reader_thread;
+    if (!inline_io) {
+        reader_thread = std::thread([&] {
+            for (;;) {
+                auto batch = next(batch_size);
+                const bool stop = !batch.ok() || batch->empty();
+                if (!parsed.push(std::move(batch)))
+                    break; // aligner bailed out; stop reading
+                if (stop)
+                    break;
+            }
+            parsed.close();
+        });
+    }
+
+    // Writer stage: records are formatted into an in-memory stage on
+    // this thread (keeping the sam.write fault ordinals in emission
+    // order) and the finished text drains to `out` in batch order on
+    // the writer thread. An injected write fault poisons the stage's
+    // stream state exactly like a real device error poisons a file
+    // stream, and is checked the same way at the end of the run.
+    std::ostringstream stage;
+    SamWriter sam(stage, session->samHeader());
+    BoundedQueue<std::string> emitted(2);
+    std::thread writer_thread;
+    if (!inline_io) {
+        writer_thread = std::thread([&] {
+            for (;;) {
+                auto text = emitted.pop();
+                if (!text)
+                    break;
+                out.write(text->data(),
+                          static_cast<std::streamsize>(text->size()));
+            }
+        });
+    }
+    const auto flush_stage = [&] {
+        std::string text = stage.str();
+        stage.str(std::string());
+        if (text.empty())
+            return;
+        if (inline_io)
+            out.write(text.data(),
+                      static_cast<std::streamsize>(text.size()));
+        else
+            emitted.push(std::move(text));
+    };
+    flush_stage(); // the header, so an empty input still yields SAM
+
+    Status failure = okStatus();
+    for (;;) {
+        StatusOr<Batch> batch{Batch{}};
+        if (inline_io) {
+            batch = next(batch_size);
+        } else {
+            auto popped = parsed.pop();
+            if (!popped)
+                break;
+            batch = std::move(*popped);
+        }
+        if (!batch.ok()) {
+            failure = batch.status();
+            break;
+        }
+        if (batch->empty())
+            break;
+        align_one(*session, sam, *batch, res);
+        flush_stage();
+    }
+
+    if (failure.ok())
+        session->finish();
+
+    // Wind down the IO stages (close() unblocks a reader stuck on a
+    // full queue after an early exit).
+    if (!inline_io) {
+        parsed.close();
+        reader_thread.join();
+        emitted.close();
+        writer_thread.join();
+    }
+
+    if (!failure.ok())
+        return failure;
+    return closeRun(*session, sam, stage && out, std::move(res));
+}
+
+} // namespace
+
+StatusOr<PipelineResult>
+alignToSam(const std::vector<FastaRecord> &ref,
+           const std::vector<FastqRecord> &reads, std::ostream &out,
+           const PipelineOptions &opts)
+{
+    return alignOnce(ref, out, opts,
+                     [&](AlignSession &session, SamWriter &sam,
+                         PipelineResult &res) {
+                         alignBatch(session, sam, reads, res);
+                     });
+}
+
+StatusOr<PipelineResult>
+alignStreamToSam(const std::vector<FastaRecord> &ref,
+                 FastqReader &reads, std::ostream &out,
+                 const PipelineOptions &opts)
+{
+    return streamToSam<std::vector<FastqRecord>>(
+        ref, out, opts, [&](u64 n) { return reads.nextBatch(n); },
+        alignBatch);
+}
+
+StatusOr<PipelineResult>
+alignPairsToSam(const std::vector<FastaRecord> &ref,
+                const std::vector<FastqRecord> &reads1,
+                const std::vector<FastqRecord> &reads2,
+                std::ostream &out, const PipelineOptions &opts)
+{
+    GENAX_TRY(checkMateCounts(reads1.size(), reads2.size()));
+    return alignOnce(ref, out, opts,
+                     [&](AlignSession &session, SamWriter &sam,
+                         PipelineResult &res) {
+                         alignPairBatch(session, sam, reads1, reads2,
+                                        res);
+                     });
+}
+
+StatusOr<PipelineResult>
+alignPairStreamToSam(const std::vector<FastaRecord> &ref,
+                     FastqReader &reads1, FastqReader &reads2,
+                     std::ostream &out, const PipelineOptions &opts)
+{
+    const auto next = [&](u64 n) -> StatusOr<MateBatch> {
+        MateBatch batch;
+        GENAX_TRY_ASSIGN(batch.reads1, reads1.nextBatch(n));
+        GENAX_TRY_ASSIGN(batch.reads2, reads2.nextBatch(n));
+        GENAX_TRY(checkMateCounts(reads1.stats().records,
+                                  reads2.stats().records));
+        return batch;
+    };
+    return streamToSam<MateBatch>(
+        ref, out, opts, next,
+        [](AlignSession &session, SamWriter &sam, const MateBatch &batch,
+           PipelineResult &res) {
+            alignPairBatch(session, sam, batch.reads1, batch.reads2, res);
+        });
 }
 
 namespace {
@@ -664,18 +767,83 @@ writeSamFile(const std::string &path, Fn &&align)
     return res;
 }
 
-/** Fold the input parse stats into a finished run's ledger. */
-void
-recordInputs(const ReaderStats &ref_stats,
-             const ReaderStats &read_stats, PipelineResult &res)
+/**
+ * The body of alignFiles() and alignPairFiles(): one read file is
+ * single-end, two are mate files. Streams when opts.batchReads > 0;
+ * otherwise every read file is parsed whole before the SAM file is
+ * opened, so a read file that fails to parse creates no SAM file.
+ */
+StatusOr<PipelineResult>
+alignReadFiles(const std::string &ref_fasta,
+               const std::vector<std::string> &read_paths,
+               const std::string &out_sam, const PipelineOptions &opts)
 {
+    ReaderOptions ropts;
+    ropts.maxMalformed = opts.maxMalformed;
+    ReaderStats ref_stats;
+    GENAX_TRY_ASSIGN(const auto ref,
+                     readFastaFile(ref_fasta, ropts, &ref_stats));
+
+    struct Input
+    {
+        std::ifstream in;
+        std::optional<FastqReader> reader; //!< streaming only
+        std::vector<FastqRecord> reads;    //!< load-all only
+        ReaderStats stats;                 //!< load-all only
+    };
+    const bool stream = opts.batchReads > 0;
+    std::vector<Input> inputs(read_paths.size());
+    for (size_t f = 0; f < read_paths.size(); ++f) {
+        Input &input = inputs[f];
+        if (stream) {
+            input.in.open(read_paths[f]);
+            if (!input.in)
+                return ioErrorFromErrno("cannot open FASTQ file",
+                                        read_paths[f]);
+            input.reader.emplace(input.in, ropts);
+        } else {
+            GENAX_TRY_ASSIGN(input.reads,
+                             readFastqFile(read_paths[f], ropts,
+                                           &input.stats));
+        }
+    }
+    GENAX_TRY_ASSIGN(
+        PipelineResult res,
+        writeSamFile(out_sam, [&](std::ostream &out) {
+            Input &in1 = inputs.front();
+            if (inputs.size() == 1)
+                return stream ? alignStreamToSam(ref, *in1.reader, out,
+                                                 opts)
+                              : alignToSam(ref, in1.reads, out, opts);
+            Input &in2 = inputs.back();
+            return stream ? alignPairStreamToSam(ref, *in1.reader,
+                                                 *in2.reader, out, opts)
+                          : alignPairsToSam(ref, in1.reads, in2.reads,
+                                            out, opts);
+        }));
+
     res.refInput = ref_stats;
-    res.readInput = read_stats;
-    res.skippedMalformed = read_stats.malformed;
+    for (const Input &input : inputs) {
+        const ReaderStats &st =
+            input.reader ? input.reader->stats() : input.stats;
+        res.readInput.records += st.records;
+        res.readInput.malformed += st.malformed;
+        res.readInput.errors.insert(res.readInput.errors.end(),
+                                    st.errors.begin(), st.errors.end());
+    }
+    res.skippedMalformed = res.readInput.malformed;
     res.reads += res.skippedMalformed;
+    return res;
 }
 
 } // namespace
+
+StatusOr<PipelineResult>
+alignFiles(const std::string &ref_fasta, const std::string &reads_fastq,
+           const std::string &out_sam, const PipelineOptions &opts)
+{
+    return alignReadFiles(ref_fasta, {reads_fastq}, out_sam, opts);
+}
 
 StatusOr<PipelineResult>
 alignPairFiles(const std::string &ref_fasta,
@@ -683,64 +851,8 @@ alignPairFiles(const std::string &ref_fasta,
                const std::string &reads2_fastq,
                const std::string &out_sam, const PipelineOptions &opts)
 {
-    ReaderOptions ropts;
-    ropts.maxMalformed = opts.maxMalformed;
-    ReaderStats ref_stats, read1_stats, read2_stats;
-    GENAX_TRY_ASSIGN(const auto ref,
-                     readFastaFile(ref_fasta, ropts, &ref_stats));
-    GENAX_TRY_ASSIGN(const auto reads1,
-                     readFastqFile(reads1_fastq, ropts, &read1_stats));
-    GENAX_TRY_ASSIGN(const auto reads2,
-                     readFastqFile(reads2_fastq, ropts, &read2_stats));
-    GENAX_TRY_ASSIGN(PipelineResult res,
-                     writeSamFile(out_sam, [&](std::ostream &out) {
-                         return alignPairsToSam(ref, reads1, reads2,
-                                                out, opts);
-                     }));
-    ReaderStats read_stats = read1_stats;
-    read_stats.records += read2_stats.records;
-    read_stats.malformed += read2_stats.malformed;
-    read_stats.errors.insert(read_stats.errors.end(),
-                             read2_stats.errors.begin(),
-                             read2_stats.errors.end());
-    recordInputs(ref_stats, read_stats, res);
-    return res;
-}
-
-StatusOr<PipelineResult>
-alignFiles(const std::string &ref_fasta, const std::string &reads_fastq,
-           const std::string &out_sam, const PipelineOptions &opts)
-{
-    ReaderOptions ropts;
-    ropts.maxMalformed = opts.maxMalformed;
-    ReaderStats ref_stats, read_stats;
-    GENAX_TRY_ASSIGN(const auto ref,
-                     readFastaFile(ref_fasta, ropts, &ref_stats));
-
-    // Streaming opens a reader; otherwise the whole read file is
-    // parsed before the SAM file is opened.
-    std::ifstream in;
-    std::optional<FastqReader> reader;
-    std::vector<FastqRecord> reads;
-    if (opts.batchReads > 0) {
-        in.open(reads_fastq);
-        if (!in)
-            return ioErrorFromErrno("cannot open FASTQ file",
-                                    reads_fastq);
-        reader.emplace(in, ropts);
-    } else {
-        GENAX_TRY_ASSIGN(reads,
-                         readFastqFile(reads_fastq, ropts, &read_stats));
-    }
-    GENAX_TRY_ASSIGN(PipelineResult res,
-                     writeSamFile(out_sam, [&](std::ostream &out) {
-                         return reader ? alignStreamToSam(ref, *reader,
-                                                          out, opts)
-                                       : alignToSam(ref, reads, out,
-                                                    opts);
-                     }));
-    recordInputs(ref_stats, reader ? reader->stats() : read_stats, res);
-    return res;
+    return alignReadFiles(ref_fasta, {reads1_fastq, reads2_fastq},
+                          out_sam, opts);
 }
 
 } // namespace genax

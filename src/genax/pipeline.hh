@@ -165,15 +165,16 @@ struct PipelineOptions : EngineOptions
      * instead of O(dataset). SAM bytes, the outcome ledger, the
      * modelled perf report and armed fault replay are identical at
      * any batch size and thread count (see DESIGN.md "Memory &
-     * streaming"). alignToSam() takes pre-parsed reads, and paired
-     * mode always loads both mate files whole.
+     * streaming"). In paired mode a batch is N templates (2N
+     * reads). alignToSam() and alignPairsToSam() take pre-parsed
+     * reads.
      */
     u64 batchReads = 0;
 };
 
 /**
  * Everything one alignment run does once, shared by every front end
- * (alignToSam, alignStreamToSam, alignPairsToSam and the serving
+ * (the single-end and paired offline drivers and the serving
  * layer's AlignService):
  *
  *  - validate the reference and build its ContigMap;
@@ -182,10 +183,12 @@ struct PipelineOptions : EngineOptions
  *    bound runs on the software engine, reported as degraded);
  *  - construct the engine and open its stream.
  *
- * align() then takes successive batches of one read stream; the
- * session keys each batch with the count of reads it aligned before,
- * so results and fault replay are identical at any batch split.
- * finish() closes the stream and publishes the modelled report.
+ * align() (best mapping per read) or candidates() (per-read
+ * candidate lists, for paired mode) then takes successive batches of
+ * one read stream; the session keys each batch with the count of
+ * reads it aligned before, so results and fault replay are identical
+ * at any batch split. finish() closes the stream and publishes the
+ * modelled report.
  *
  * Not movable: the engines hold references into the session's
  * ContigMap and snapshot attachment. Single-owner, like the engine
@@ -212,6 +215,17 @@ class AlignSession
     /** Align the next batch of the stream. */
     Aligned align(const std::vector<Seq> &seqs);
 
+    /** One batch's candidate lists (distinct placements, descending
+     *  score, MAPQ unset), parallel to its reads. */
+    struct Candidates
+    {
+        std::vector<std::vector<Mapping>> lists;
+        std::vector<u8> degraded; //!< found via a fallback path
+    };
+
+    /** Candidate form of align(): same stream, same read keys. */
+    Candidates candidates(const std::vector<Seq> &seqs, u32 max_per_read);
+
     /** Close the engine stream (idempotent). */
     void finish();
 
@@ -229,10 +243,6 @@ class AlignSession
      *  finish()). */
     const GenAxPerf &perf() const { return _perf; }
     const GenAxHostProfile &hostProfile() const { return _hostProfile; }
-
-    /** The software engine (Software engine or fallback only) — paired
-     *  mode pairs its per-mate candidates directly. */
-    const BwaMemLike &softwareEngine() const;
 
   private:
     explicit AlignSession(const std::vector<FastaRecord> &ref);
@@ -339,10 +349,14 @@ StatusOr<PipelineResult> alignFiles(const std::string &ref_fasta,
 
 /**
  * Paired-end alignment (FR libraries): r1/r2 records pair up by
- * index. Runs on the software engine (pairing is a post-processing
- * stage downstream of any single-end engine; the paper's GenAx
- * evaluates single-ended reads). Emits both mates with paired SAM
- * flags, mate coordinates and template length.
+ * index, and a mate-count mismatch is InvalidInput. Runs on either
+ * engine: the mates go to it interleaved (r1_0, r2_0, r1_1, ...) for
+ * per-read candidate lists, and resolvePair (swbase/paired.hh) picks
+ * each template's placement downstream — pairing is a stage after
+ * any single-end engine. Emits both mates with paired SAM flags,
+ * mate coordinates and template length. A genax.pipeline.read fault
+ * fails the whole template. One paired batch, as alignToSam() is one
+ * single-end batch.
  */
 StatusOr<PipelineResult>
 alignPairsToSam(const std::vector<FastaRecord> &ref,
@@ -350,7 +364,23 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
                 const std::vector<FastqRecord> &reads2,
                 std::ostream &out, const PipelineOptions &opts);
 
-/** File-path convenience wrapper for paired-end mode. */
+/**
+ * Streaming variant of alignPairsToSam(): batches of
+ * opts.batchReads templates from the two mate readers, on the same
+ * reader / aligner / writer driver as alignStreamToSam(). SAM bytes,
+ * the ledger, the modelled report and armed engine-fault replay are
+ * identical at any batch size and thread count. A mate-count
+ * mismatch is found at the first batch whose two halves differ in
+ * size and fails the run as InvalidInput after the earlier batches
+ * were written.
+ */
+StatusOr<PipelineResult>
+alignPairStreamToSam(const std::vector<FastaRecord> &ref,
+                     FastqReader &reads1, FastqReader &reads2,
+                     std::ostream &out, const PipelineOptions &opts);
+
+/** File-path convenience wrapper for paired-end mode; streams when
+ *  opts.batchReads > 0, exactly as alignFiles() does. */
 StatusOr<PipelineResult> alignPairFiles(const std::string &ref_fasta,
                                         const std::string &reads1_fastq,
                                         const std::string &reads2_fastq,

@@ -763,24 +763,6 @@ GenAxSystem::alignAll(const std::vector<Seq> &reads)
     return out;
 }
 
-std::vector<PairMapping>
-GenAxSystem::alignPairs(const std::vector<Seq> &reads1,
-                        const std::vector<Seq> &reads2,
-                        const PairedConfig &pcfg)
-{
-    GENAX_CHECK(reads1.size() == reads2.size(),
-                 "mate batches differ in size");
-    const auto c1 = alignAllCandidates(reads1, pcfg.candidatesPerMate);
-    // Note: perf for the second pass overwrites the first; callers
-    // interested in the model should inspect perf() after each
-    // alignAllCandidates call separately.
-    const auto c2 = alignAllCandidates(reads2, pcfg.candidatesPerMate);
-    std::vector<PairMapping> out(reads1.size());
-    for (size_t i = 0; i < reads1.size(); ++i)
-        out[i] = resolvePair(c1[i], c2[i], pcfg);
-    return out;
-}
-
 GenAxAreaPower
 GenAxSystem::areaPower(const GenAxConfig &cfg, u64 index_table_bytes,
                        u64 position_table_bytes)

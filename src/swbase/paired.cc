@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
-#include "common/parallel.hh"
 
 namespace genax {
 
@@ -114,36 +112,6 @@ resolvePair(const std::vector<Mapping> &c1,
     }
     out.r1.mapq = mapq;
     out.r2.mapq = mapq;
-    return out;
-}
-
-i32
-PairedAligner::pairPenalty(const Mapping &a, const Mapping &b,
-                           bool &proper, i64 &tlen) const
-{
-    return pairPenaltyImpl(a, b, _cfg, proper, tlen);
-}
-
-PairMapping
-PairedAligner::alignPair(const Seq &r1, const Seq &r2) const
-{
-    return resolvePair(_aligner.candidates(r1, _cfg.candidatesPerMate),
-                       _aligner.candidates(r2, _cfg.candidatesPerMate),
-                       _cfg);
-}
-
-std::vector<PairMapping>
-PairedAligner::alignAllPairs(const std::vector<Seq> &r1s,
-                             const std::vector<Seq> &r2s,
-                             unsigned threads) const
-{
-    GENAX_ASSERT(r1s.size() == r2s.size(),
-                 "mate batches differ in size");
-    std::vector<PairMapping> out(r1s.size());
-    parallelFor(r1s.size(), threads, [&](u64 lo, u64 hi) {
-        for (u64 i = lo; i < hi; ++i)
-            out[i] = alignPair(r1s[i], r2s[i]);
-    });
     return out;
 }
 

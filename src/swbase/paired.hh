@@ -1,6 +1,6 @@
 /**
  * @file
- * Paired-end alignment on top of the single-end aligner.
+ * Paired-end resolution downstream of a single-end engine.
  *
  * Real Illumina runs are paired (FR orientation with a fragment-size
  * distribution); BWA-MEM exploits the pair constraint both to rank
@@ -13,7 +13,9 @@
 #ifndef GENAX_SWBASE_PAIRED_HH
 #define GENAX_SWBASE_PAIRED_HH
 
-#include "swbase/bwamem_like.hh"
+#include <vector>
+
+#include "align/mapping.hh"
 
 namespace genax {
 
@@ -24,7 +26,7 @@ struct PairedConfig
     double insertSd = 30;
     double maxZ = 4.0;        //!< |z| beyond which a pair is improper
     i32 unpairedPenalty = 17; //!< score cost of leaving mates unpaired
-    u32 candidatesPerMate = 16;
+    u32 candidatesPerMate = 16; //!< candidate list length per mate
 };
 
 /** A resolved read pair. */
@@ -39,46 +41,13 @@ struct PairMapping
 /**
  * Resolve a mate pair from per-mate candidate lists (sorted by
  * descending score, as produced by BwaMemLike::candidates or
- * GenAxSystem::alignAllCandidates). Engine-independent: this is the
- * pairing stage that sits downstream of any single-end aligner.
+ * GenAxSystem::streamBatchCandidates). Engine-independent: this is
+ * the pairing stage that sits downstream of either engine
+ * (AlignSession::candidates feeds it in the pipeline).
  */
 PairMapping resolvePair(const std::vector<Mapping> &c1,
                         const std::vector<Mapping> &c2,
                         const PairedConfig &cfg);
-
-/** Paired-end resolver over a single-end aligner. */
-class PairedAligner
-{
-  public:
-    PairedAligner(const BwaMemLike &aligner, const PairedConfig &cfg = {})
-        : _aligner(aligner), _cfg(cfg)
-    {
-    }
-
-    /**
-     * Align a mate pair (r2 given as sequenced, i.e. reverse strand
-     * of the fragment for FR libraries).
-     */
-    PairMapping alignPair(const Seq &r1, const Seq &r2) const;
-
-    /** Align a batch of pairs with the given worker-thread count
-     *  (0 = all hardware threads); results are identical at any
-     *  width. */
-    std::vector<PairMapping>
-    alignAllPairs(const std::vector<Seq> &r1s,
-                  const std::vector<Seq> &r2s,
-                  unsigned threads = 1) const;
-
-    const PairedConfig &config() const { return _cfg; }
-
-  private:
-    /** Gaussian insert-size score penalty for a candidate pair. */
-    i32 pairPenalty(const Mapping &a, const Mapping &b, bool &proper,
-                    i64 &tlen) const;
-
-    const BwaMemLike &_aligner;
-    PairedConfig _cfg;
-};
 
 } // namespace genax
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <tuple>
 
 #include "align/cigar.hh"
@@ -15,7 +17,6 @@
 #include "align/lev_automaton.hh"
 #include "align/myers.hh"
 #include "align/ula.hh"
-#include "align/wavefront.hh"
 #include "align/wfa.hh"
 #include "common/rng.hh"
 
@@ -484,16 +485,35 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<u32>(0, 1, 2, 4, 8)));
 
 // ---------------------------------------------------------- wavefront
+//
+// Unit-cost WFA (mismatch 1, open 0, extend 1) is the O(ND)
+// wavefront edit distance.
+
+/** Edit distance via unit-penalty WFA, nullopt beyond `max_e`. */
+std::optional<u64>
+wavefrontDistance(const Seq &a, const Seq &b, u64 max_e)
+{
+    return wfaGlobalPenalty(a, b, WfaPenalties{1, 0, 1}, max_e);
+}
+
+/** Unbounded form: max(n, m) edits always suffice (and keep the
+ *  wave reservation small). */
+u64
+wavefrontDistance(const Seq &a, const Seq &b)
+{
+    const auto d = wavefrontDistance(a, b, std::max(a.size(), b.size()));
+    EXPECT_TRUE(d.has_value());
+    return d.value_or(~u64{0});
+}
 
 TEST(Wavefront, HandCases)
 {
-    EXPECT_EQ(wavefrontEditDistance(encode(""), encode("")), 0u);
-    EXPECT_EQ(wavefrontEditDistance(encode(""), encode("AC")), 2u);
-    EXPECT_EQ(wavefrontEditDistance(encode("ACG"), encode("")), 3u);
-    EXPECT_EQ(wavefrontEditDistance(encode("ACGT"), encode("ACGT")), 0u);
-    EXPECT_EQ(wavefrontEditDistance(encode("ACGT"), encode("AGGT")), 1u);
-    EXPECT_EQ(wavefrontEditDistance(encode("ATGCG"), encode("TAGCG")),
-              2u);
+    EXPECT_EQ(wavefrontDistance(encode(""), encode("")), 0u);
+    EXPECT_EQ(wavefrontDistance(encode(""), encode("AC")), 2u);
+    EXPECT_EQ(wavefrontDistance(encode("ACG"), encode("")), 3u);
+    EXPECT_EQ(wavefrontDistance(encode("ACGT"), encode("ACGT")), 0u);
+    EXPECT_EQ(wavefrontDistance(encode("ACGT"), encode("AGGT")), 1u);
+    EXPECT_EQ(wavefrontDistance(encode("ATGCG"), encode("TAGCG")), 2u);
 }
 
 class WavefrontRandomTest
@@ -510,7 +530,7 @@ TEST_P(WavefrontRandomTest, MatchesDp)
                           ? randomSeq(rng, lb)
                           : mutateSeq(rng, a, static_cast<unsigned>(
                                                   rng.below(8)));
-        EXPECT_EQ(wavefrontEditDistance(a, b), editDistance(a, b))
+        EXPECT_EQ(wavefrontDistance(a, b), editDistance(a, b))
             << decode(a) << " vs " << decode(b);
     }
 }
@@ -530,7 +550,7 @@ TEST(Wavefront, BoundedSemantics)
         const Seq b = mutateSeq(rng, a, static_cast<unsigned>(rng.below(10)));
         const u64 d = editDistance(a, b);
         for (u64 k : {u64{0}, u64{3}, u64{7}, u64{12}}) {
-            const auto r = wavefrontEditDistanceBounded(a, b, k);
+            const auto r = wavefrontDistance(a, b, k);
             if (d <= k) {
                 ASSERT_TRUE(r.has_value());
                 EXPECT_EQ(*r, d);
@@ -548,7 +568,7 @@ TEST(Wavefront, AgreesWithSillaPhilosophy)
     Rng rng(4200);
     const Seq a = randomSeq(rng, 5000);
     const Seq b = mutateSeq(rng, a, 10);
-    const u64 d = wavefrontEditDistance(a, b);
+    const u64 d = wavefrontDistance(a, b);
     EXPECT_LE(d, 10u);
     EXPECT_EQ(d, myersEditDistance(a, b));
 }

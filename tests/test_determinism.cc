@@ -5,12 +5,14 @@
  * GenAxPerf numbers must be identical at every host thread count AND
  * at every kernel dispatch tier — with and without an armed
  * fault-injection plan. This is the user-visible contract behind
- * `genax_align --threads N` and `genax_align --kernel TIER`.
+ * `genax_align --threads N` and `genax_align --kernel TIER`, and it
+ * holds for paired-end runs (`--reads2`) as it does for single-end.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +28,7 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
+#include "swbase/paired.hh"
 
 namespace genax {
 namespace {
@@ -414,6 +417,258 @@ TEST(Determinism, ServedSamMatchesOfflineAtAnyBatchAndThreads)
                 EXPECT_EQ(served[c], expected[c])
                     << what << " client=" << c;
         }
+    }
+}
+
+// ------------------------------------------------------- paired-end
+
+/** Mate files over a two-contig reference: simulated FR pairs, with
+ *  every ninth R2 replaced by a read from elsewhere so improper and
+ *  cross-contig pairs occur, and every thirteenth by junk. */
+struct PairedWorkload
+{
+    std::vector<FastaRecord> ref;
+    std::vector<FastqRecord> reads1, reads2;
+};
+
+PairedWorkload
+makePairedWorkload()
+{
+    PairedWorkload w;
+    RefGenConfig rcfg;
+    rcfg.length = 20000;
+    rcfg.seed = 2468;
+    w.ref.push_back({"pe_a", generateReference(rcfg)});
+    rcfg.length = 12000;
+    rcfg.seed = 1357;
+    w.ref.push_back({"pe_b", generateReference(rcfg)});
+    const ContigMap map(w.ref);
+    const Seq &cat = map.sequence();
+
+    ReadSimConfig rs;
+    rs.numReads = 70;
+    rs.seed = 97531;
+    const auto pairs = simulatePairs(cat, rs);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+        const std::string name = "t" + std::to_string(i);
+        w.reads1.push_back({name, pairs[i].r1.seq, pairs[i].r1.qual});
+        Seq r2 = pairs[i].r2.seq;
+        if (i % 9 == 4) {
+            const u64 at = (i * 7919) % (cat.size() - r2.size());
+            r2.assign(cat.begin() + static_cast<i64>(at),
+                      cat.begin() + static_cast<i64>(at + r2.size()));
+        } else if (i % 13 == 6) {
+            for (size_t j = 0; j < r2.size(); ++j)
+                r2[j] = j % 2 ? kBaseC : kBaseA;
+        }
+        w.reads2.push_back({name, std::move(r2), pairs[i].r2.qual});
+    }
+    return w;
+}
+
+/**
+ * One paired run: batch_reads > 0 streams both mate files
+ * (alignPairStreamToSam), 0 is the load-all alignPairsToSam. The
+ * fault plan, if armed, arms admission loss and lane refusals.
+ */
+RunOutput
+runPairedOnce(const PairedWorkload &w, PipelineOptions::Engine engine,
+              unsigned threads, u64 batch_reads, bool inject = false,
+              const std::string &snapshot = "")
+{
+    PipelineOptions opts;
+    opts.engine = engine;
+    opts.segments = 6;
+    opts.threads = threads;
+    opts.batchReads = batch_reads;
+    opts.indexSnapshot = snapshot;
+
+    FaultInjector &fi = FaultInjector::instance();
+    fi.reset();
+    if (inject) {
+        fi.arm(fault::kPipelineRead, {.probability = 0.08, .seed = 31});
+        fi.arm(fault::kLaneIssue, {.probability = 0.2, .seed = 32});
+    }
+
+    std::ostringstream sink;
+    const auto res = [&]() -> StatusOr<PipelineResult> {
+        if (batch_reads > 0) {
+            std::ostringstream fq1, fq2;
+            GENAX_TRY(writeFastq(fq1, w.reads1));
+            GENAX_TRY(writeFastq(fq2, w.reads2));
+            std::istringstream in1(fq1.str()), in2(fq2.str());
+            FastqReader reader1(in1), reader2(in2);
+            return alignPairStreamToSam(w.ref, reader1, reader2, sink,
+                                        opts);
+        }
+        return alignPairsToSam(w.ref, w.reads1, w.reads2, sink, opts);
+    }();
+    fi.reset();
+    EXPECT_TRUE(res.ok()) << res.status().str();
+    RunOutput out;
+    out.sam = sink.str();
+    out.res = res.ok() ? *res : PipelineResult{};
+    return out;
+}
+
+const char *
+engineName(PipelineOptions::Engine engine)
+{
+    return engine == PipelineOptions::Engine::GenAx ? "genax" : "sw";
+}
+
+TEST(Determinism, PairedIdenticalAtAnyBatchAndThreads)
+{
+    // `--reads2` runs on the same streaming core as single-end mode:
+    // the mate batch size and the worker width are resource knobs
+    // only, on either engine.
+    const PairedWorkload w = makePairedWorkload();
+    for (const auto engine : {PipelineOptions::Engine::Software,
+                              PipelineOptions::Engine::GenAx}) {
+        const RunOutput base = runPairedOnce(w, engine, 1, 0);
+        EXPECT_EQ(base.res.reads, 2 * w.reads1.size());
+        EXPECT_GT(base.res.mapped, w.reads1.size());
+        for (const unsigned threads : {1u, 4u}) {
+            for (const u64 batch : {u64{0}, u64{1}, u64{7}, u64{64}}) {
+                expectSameOutcome(
+                    base, runPairedOnce(w, engine, threads, batch),
+                    std::string(engineName(engine)) +
+                        " threads=" + std::to_string(threads) +
+                        " batch=" + std::to_string(batch));
+            }
+        }
+    }
+}
+
+TEST(Determinism, PairedIdenticalUnderFaultInjection)
+{
+    // Template admission (genax.pipeline.read, one ordinal per
+    // template) and lane refusals (keyed by each mate's stream index,
+    // 2 * admitted template + mate) replay identically at any split.
+    const PairedWorkload w = makePairedWorkload();
+    for (const auto engine : {PipelineOptions::Engine::Software,
+                              PipelineOptions::Engine::GenAx}) {
+        const RunOutput base = runPairedOnce(w, engine, 1, 0, true);
+        EXPECT_GT(base.res.failed, 0u) << engineName(engine);
+        if (engine == PipelineOptions::Engine::GenAx) {
+            EXPECT_GT(base.res.degraded, 0u);
+        }
+        for (const unsigned threads : {1u, 4u}) {
+            for (const u64 batch : {u64{0}, u64{1}, u64{7}, u64{64}}) {
+                expectSameOutcome(
+                    base, runPairedOnce(w, engine, threads, batch, true),
+                    std::string("inject ") + engineName(engine) +
+                        " threads=" + std::to_string(threads) +
+                        " batch=" + std::to_string(batch));
+            }
+        }
+    }
+}
+
+TEST(Determinism, PairedSnapshotMatchesRebuild)
+{
+    // A paired GenAx run attached to an index snapshot is the rebuild
+    // run, byte for byte.
+    const PairedWorkload w = makePairedWorkload();
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "genax_det_paired_snap";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string snap = (dir / "ref.gxs").string();
+    const ContigMap map(w.ref);
+    std::vector<SnapshotContig> contigs;
+    for (const auto &c : map.contigs())
+        contigs.push_back({c.name, c.start, c.length});
+    SegmentConfig scfg;
+    scfg.k = PipelineOptions{}.k;
+    scfg.segmentCount = 6;
+    scfg.overlap = PipelineOptions{}.segmentOverlap;
+    ASSERT_TRUE(
+        IndexSnapshot::build(snap, map.sequence(), contigs, scfg).ok());
+
+    const auto genax = PipelineOptions::Engine::GenAx;
+    const RunOutput rebuilt = runPairedOnce(w, genax, 1, 0);
+    for (const unsigned threads : {1u, 4u}) {
+        for (const u64 batch : {u64{0}, u64{7}}) {
+            const RunOutput run =
+                runPairedOnce(w, genax, threads, batch, false, snap);
+#if !defined(GENAX_KMER_INDEX_ORACLE)
+            EXPECT_TRUE(run.res.indexFromSnapshot);
+#endif
+            expectSameOutcome(rebuilt, run,
+                              "snapshot threads=" +
+                                  std::to_string(threads) +
+                                  " batch=" + std::to_string(batch));
+        }
+    }
+    fs::remove_all(dir);
+}
+
+TEST(Determinism, SoftwarePairedSamMatchesCandidatePairing)
+{
+    // Reference algorithm: each template's two candidate lists from
+    // the software aligner into resolvePair, a proper pair across
+    // contigs demoted, and both mates written as paired records.
+    const PairedWorkload w = makePairedWorkload();
+    const PipelineOptions opts;
+    const ContigMap contigs(w.ref);
+    AlignerConfig acfg;
+    acfg.k = opts.k;
+    acfg.band = opts.band;
+    const BwaMemLike aligner(contigs.sequence(), acfg);
+    const PairedConfig pcfg;
+
+    std::vector<SamRefSeq> header;
+    for (const auto &c : contigs.contigs())
+        header.push_back({c.name, c.length});
+    std::ostringstream want;
+    SamWriter sam(want, header);
+    const auto mateRecord = [&](const FastqRecord &read,
+                                const Mapping &self, const Mapping &mate,
+                                const PairMapping &pm, bool is_read1) {
+        SamRecord rec = pipelineSamRecord(contigs, read, self);
+        rec.flag |= kSamPaired | (is_read1 ? kSamRead1 : kSamRead2);
+        if (pm.proper)
+            rec.flag |= kSamProperPair;
+        if (!mate.mapped)
+            rec.flag |= kSamMateUnmapped;
+        else if (mate.reverse)
+            rec.flag |= kSamMateReverse;
+        if (mate.mapped) {
+            const auto [mci, mlocal] = contigs.locate(mate.pos);
+            rec.rnext = self.mapped &&
+                                contigs.locate(self.pos).first == mci
+                            ? "="
+                            : contigs.contigs()[mci].name;
+            rec.pnext = mlocal;
+        }
+        if (pm.proper)
+            rec.tlen = self.pos <= mate.pos ? pm.templateLen
+                                            : -pm.templateLen;
+        return rec;
+    };
+    u64 improper = 0;
+    for (size_t i = 0; i < w.reads1.size(); ++i) {
+        PairMapping pm = resolvePair(
+            aligner.candidates(w.reads1[i].seq, pcfg.candidatesPerMate),
+            aligner.candidates(w.reads2[i].seq, pcfg.candidatesPerMate),
+            pcfg);
+        if (pm.proper && contigs.locate(pm.r1.pos).first !=
+                             contigs.locate(pm.r2.pos).first) {
+            pm.proper = false;
+            pm.templateLen = 0;
+        }
+        improper += !pm.proper;
+        sam.write(mateRecord(w.reads1[i], pm.r1, pm.r2, pm, true));
+        sam.write(mateRecord(w.reads2[i], pm.r2, pm.r1, pm, false));
+    }
+    EXPECT_GT(improper, 0u) << "workload should hold improper pairs";
+
+    for (const u64 batch : {u64{0}, u64{7}}) {
+        const RunOutput run = runPairedOnce(
+            w, PipelineOptions::Engine::Software, 4, batch);
+        EXPECT_EQ(run.sam, want.str()) << "batch=" << batch;
     }
 }
 

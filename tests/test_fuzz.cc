@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "align/edit_distance.hh"
@@ -24,7 +26,7 @@
 #include "align/lev_automaton.hh"
 #include "align/myers.hh"
 #include "align/ula.hh"
-#include "align/wavefront.hh"
+#include "align/wfa.hh"
 #include "common/check.hh"
 #include "common/faultinject.hh"
 #include "common/rng.hh"
@@ -95,7 +97,10 @@ TEST(Fuzz, SevenEditDistanceImplementationsAgree)
 
         const u64 truth = editDistance(a, b);
         EXPECT_EQ(myersEditDistance(a, b), truth);
-        EXPECT_EQ(wavefrontEditDistance(a, b), truth);
+        // Unit-penalty WFA is the O(ND) wavefront edit distance.
+        EXPECT_EQ(wfaGlobalPenalty(a, b, WfaPenalties{1, 0, 1},
+                                   std::max(a.size(), b.size())),
+                  std::optional<u64>(truth));
 
         const auto bounded = editDistanceBounded(a, b, k);
         ASSERT_EQ(bounded.has_value(), truth <= k);

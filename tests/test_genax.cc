@@ -15,6 +15,7 @@
 #include "readsim/readsim.hh"
 #include "readsim/refgen.hh"
 #include "swbase/bwamem_like.hh"
+#include "swbase/paired.hh"
 
 namespace genax {
 namespace {
@@ -187,14 +188,19 @@ TEST_F(GenAxSystemTest, PairedEndRescueThroughAccelerator)
                         dup_ref.begin() +
                             static_cast<i64>(frag_start + 101));
 
-    const auto pairs = dup_system.alignPairs(
-        {r1_unique}, {reverseComplement(r2_inner)});
-    ASSERT_EQ(pairs.size(), 1u);
-    ASSERT_TRUE(pairs[0].r1.mapped);
-    ASSERT_TRUE(pairs[0].r2.mapped);
-    EXPECT_TRUE(pairs[0].proper);
-    EXPECT_EQ(pairs[0].r2.pos, src + 20);
-    EXPECT_GT(pairs[0].r2.mapq, 0);
+    // The pipeline's paired path: mates interleaved through one
+    // candidate pass, then resolvePair.
+    const PairedConfig pcfg;
+    const auto cands = dup_system.alignAllCandidates(
+        {r1_unique, reverseComplement(r2_inner)},
+        pcfg.candidatesPerMate);
+    ASSERT_EQ(cands.size(), 2u);
+    const PairMapping pair = resolvePair(cands[0], cands[1], pcfg);
+    ASSERT_TRUE(pair.r1.mapped);
+    ASSERT_TRUE(pair.r2.mapped);
+    EXPECT_TRUE(pair.proper);
+    EXPECT_EQ(pair.r2.pos, src + 20);
+    EXPECT_GT(pair.r2.mapq, 0);
 }
 
 // --------------------------------------------------- area and power

@@ -7,7 +7,8 @@
 #
 # Usage: tools/chaos_smoke.sh path/to/genax_align [path/to/genax_index]
 #        [path/to/genax_serve path/to/genax_client]
-# The snapshot-corruption leg runs only when genax_index is given; the
+# The snapshot-corruption and paired-end legs run only when
+# genax_index is given; the
 # daemon-kill leg (SIGKILL mid-batch: clean client error, no partial
 # SAM, restart serves the same snapshot byte-identically) runs only
 # when genax_serve and genax_client are given too.
@@ -132,6 +133,27 @@ grep -q 'absent.fa' "$tmp/miss.log" ||
 status=$(run "$tmp/help.log" --help)
 ((status == 0)) || err "--help: exit $status, want 0"
 
+# 4b. A reference whose last record has no sequence: both CLIs skip
+#     it within the default malformed budget, complete, and exit 1.
+{
+    echo ">chr1"
+    fold -w 70 <<<"$seq"
+    echo ">empty"
+} >"$tmp/ref_empty_tail.fa"
+status=$(run "$tmp/emptytail.log" --ref "$tmp/ref_empty_tail.fa" \
+    --reads "$tmp/reads.fq" --out "$tmp/emptytail.sam" --k 11 \
+    --max-malformed 10)
+((status == 1)) || err "empty last reference record: exit $status, want 1"
+grep -q 'reference: skipped 1 malformed record' "$tmp/emptytail.log" ||
+    err "skipped reference record not reported"
+if [[ -x "$index_bin" ]]; then
+    "$index_bin" --ref "$tmp/ref_empty_tail.fa" \
+        --out "$tmp/emptytail.gxs" --k 11 >/dev/null 2>&1
+    status=$?
+    ((status == 1)) ||
+        err "genax_index on empty last reference record: exit $status, want 1"
+fi
+
 # 5. Snapshot-corruption leg: build a flat index snapshot, corrupt
 #    it, and check both CLIs honour the contract — genax_index
 #    --verify exits 3 naming the damage, and genax_align --index
@@ -172,6 +194,32 @@ if [[ -n "$index_bin" ]]; then
         cmp -s "$tmp/nosnap.sam" "$tmp/degraded.sam" ||
             err "degraded-rebuild SAM differs from in-memory SAM"
     fi
+fi
+
+# 5b. Paired leg: mate files streamed in 7-pair batches from the
+#     snapshot must reproduce the load-all run without a snapshot
+#     byte for byte, with the same exit code.
+if [[ -x "$index_bin" && -f "$tmp/snap.gxs" ]]; then
+    for ((r = 0; r < 18; r++)); do
+        printf '@pair%d/1\n%s\n+\n%s\n' "$r" "${seq:$((r * 50)):80}" "$qual"
+    done >"$tmp/mates1.fq"
+    for ((r = 0; r < 18; r++)); do
+        mate=$(rev <<<"${seq:$((r * 50 + 220)):80}" | tr ACGT TGCA)
+        printf '@pair%d/2\n%s\n+\n%s\n' "$r" "$mate" "$qual"
+    done >"$tmp/mates2.fq"
+    want=$(run "$tmp/pe_loadall.log" --ref "$tmp/ref.fa" \
+        --reads "$tmp/mates1.fq" --reads2 "$tmp/mates2.fq" \
+        --out "$tmp/pe_loadall.sam" --k 11 --segments 4)
+    ((want == 0)) || err "paired load-all run: exit $want, want 0"
+    status=$(run "$tmp/pe_stream.log" --ref "$tmp/ref.fa" \
+        --reads "$tmp/mates1.fq" --reads2 "$tmp/mates2.fq" \
+        --out "$tmp/pe_stream.sam" --batch-reads 7 \
+        --index "$tmp/snap.gxs" --threads 2)
+    ((status == want)) ||
+        err "paired streamed snapshot run: exit $status, want $want"
+    cmp -s "$tmp/pe_loadall.sam" "$tmp/pe_stream.sam" ||
+        err "paired streamed snapshot SAM differs from the load-all run"
+    check_ledger "$tmp/pe_stream.log" "$tmp/pe_stream.sam"
 fi
 
 # 6. Daemon-kill leg: SIGKILL genax_serve while a client's request is

@@ -51,7 +51,7 @@ printHelp(const char *prog, std::FILE *to)
         "  --ref FILE         reference FASTA (required)\n"
         "  --reads FILE       reads FASTQ (required)\n"
         "  --reads2 FILE      mate FASTQ; enables paired-end mode\n"
-        "                     (software engine)\n"
+        "                     (either engine)\n"
         "  --out FILE         output SAM (required)\n"
         "  --engine genax|sw  accelerator model or software baseline\n"
         "                     (default genax)\n"
@@ -68,7 +68,7 @@ printHelp(const char *prog, std::FILE *to)
         "                     and SAM emission with O(batch) memory\n"
         "                     (default 0 = load all reads first);\n"
         "                     output is identical at any batch size;\n"
-        "                     single-end mode only\n"
+        "                     in paired mode N counts mate pairs\n"
         "  --index FILE       prebuilt index snapshot from\n"
         "                     genax_index; mmapped zero-copy,\n"
         "                     skipping the per-run index build. The\n"
@@ -189,15 +189,6 @@ main(int argc, char **argv)
     }
     if (ref.empty() || reads.empty() || out.empty())
         usageError(argv[0], "--ref, --reads and --out are required");
-    if (opts.batchReads > 0 && !reads2.empty())
-        usageError(argv[0],
-                   "--batch-reads is single-end only (paired mode "
-                   "loads both mate files whole)");
-    if (!opts.indexSnapshot.empty() && !reads2.empty())
-        usageError(argv[0],
-                   "--index is single-end only (paired mode runs "
-                   "the software engine, which builds no segment "
-                   "indexes)");
 
     if (const Status st = FaultInjector::instance().configureFromEnv();
         !st.ok()) {
@@ -243,7 +234,7 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(res.degraded),
         static_cast<unsigned long long>(res.failed));
     if (opts.engine == PipelineOptions::Engine::GenAx &&
-        !res.softwareFallback && reads2.empty()) {
+        !res.softwareFallback) {
         std::fprintf(stderr,
                      "GenAx model: %llu exact-path reads, %llu "
                      "extension jobs, modelled %.1f KReads/s\n",
@@ -261,7 +252,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(res.perf.dramFaults));
     }
 
-    const bool partial = res.skippedMalformed > 0 || res.degraded > 0 ||
+    const bool partial = res.refInput.malformed > 0 ||
+                         res.skippedMalformed > 0 || res.degraded > 0 ||
                          res.failed > 0 || res.softwareFallback ||
                          res.indexFallback;
     return partial ? kExitPartial : kExitOk;

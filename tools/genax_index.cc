@@ -155,7 +155,11 @@ main(int argc, char **argv)
         usageError(argv[0], "--segments must be >= 1");
 
     ReaderStats ref_stats;
-    const auto ref = readFastaFile(ref_path, {}, &ref_stats);
+    // The pipeline's malformed-record budget, so every reference
+    // genax_align accepts can be indexed.
+    ReaderOptions ropts;
+    ropts.maxMalformed = PipelineOptions{}.maxMalformed;
+    const auto ref = readFastaFile(ref_path, ropts, &ref_stats);
     if (!ref.ok()) {
         std::fprintf(stderr, "genax_index: %s\n",
                      ref.status().str().c_str());
