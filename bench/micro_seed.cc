@@ -173,17 +173,28 @@ BM_SegmentLookupForeignReads(benchmark::State &state)
 }
 BENCHMARK(BM_SegmentLookupForeignReads)->ArgName("filter")->Arg(0)->Arg(1);
 
+/** Index build over the bench reference at k-mer length `k` and
+ *  build width `width`; `sec_per_base` is the build time per
+ *  reference base. */
 void
 BM_FlatIndexBuild(benchmark::State &state)
 {
     const u32 k = static_cast<u32>(state.range(0));
+    const unsigned width = static_cast<unsigned>(state.range(1));
     for (auto _ : state) {
-        FlatKmerIndex index(benchRef(), k);
+        FlatKmerIndex index(benchRef(), k, width);
         benchmark::DoNotOptimize(index.maxHitListSize());
     }
     state.SetBytesProcessed(state.iterations() * benchRef().size());
+    state.counters["sec_per_base"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * benchRef().size()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_FlatIndexBuild)->Arg(10)->Arg(12);
+BENCHMARK(BM_FlatIndexBuild)
+    ->ArgNames({"k", "width"})
+    ->ArgsProduct({{10, 12}, {1, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SmemSeedPerRead(benchmark::State &state)

@@ -7,6 +7,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "common/annotations.hh"
@@ -502,6 +503,42 @@ alignPairBatch(AlignSession &session, SamWriter &sam,
     }
 }
 
+/** A mate's template name: its read name up to the first space,
+ *  less a trailing `/1` or `/2`. */
+std::string_view
+templateName(std::string_view name)
+{
+    name = name.substr(0, name.find(' '));
+    if (name.size() >= 2 && name[name.size() - 2] == '/' &&
+        (name.back() == '1' || name.back() == '2'))
+        name.remove_suffix(2);
+    return name;
+}
+
+/**
+ * Mates pair up by record index, so record i of each mate file must
+ * name the same template. Checks the records both lists hold, which
+ * are templates `first + 1` onwards (1-based), before any count
+ * check, so a mismatch is reported at the same template whatever the
+ * batch split.
+ */
+Status
+checkMateNames(const std::vector<FastqRecord> &reads1,
+               const std::vector<FastqRecord> &reads2, u64 first)
+{
+    const size_t n = std::min(reads1.size(), reads2.size());
+    for (size_t i = 0; i < n; ++i) {
+        if (templateName(reads1[i].name) == templateName(reads2[i].name))
+            continue;
+        return invalidInputError(
+            "mate names differ at template " +
+            std::to_string(first + i + 1) + ": '" + reads1[i].name +
+            "' vs '" + reads2[i].name +
+            "' (skipped malformed records can desynchronize mates)");
+    }
+    return okStatus();
+}
+
 /** Mates pair up by index, so the mate files must agree in count. */
 Status
 checkMateCounts(u64 reads1, u64 reads2)
@@ -717,6 +754,7 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
                 const std::vector<FastqRecord> &reads2,
                 std::ostream &out, const PipelineOptions &opts)
 {
+    GENAX_TRY(checkMateNames(reads1, reads2, 0));
     GENAX_TRY(checkMateCounts(reads1.size(), reads2.size()));
     return alignOnce(ref, out, opts,
                      [&](AlignSession &session, SamWriter &sam,
@@ -735,6 +773,9 @@ alignPairStreamToSam(const std::vector<FastaRecord> &ref,
         MateBatch batch;
         GENAX_TRY_ASSIGN(batch.reads1, reads1.nextBatch(n));
         GENAX_TRY_ASSIGN(batch.reads2, reads2.nextBatch(n));
+        GENAX_TRY(checkMateNames(batch.reads1, batch.reads2,
+                                 reads1.stats().records -
+                                     batch.reads1.size()));
         GENAX_TRY(checkMateCounts(reads1.stats().records,
                                   reads2.stats().records));
         return batch;

@@ -349,7 +349,10 @@ StatusOr<PipelineResult> alignFiles(const std::string &ref_fasta,
 
 /**
  * Paired-end alignment (FR libraries): r1/r2 records pair up by
- * index, and a mate-count mismatch is InvalidInput. Runs on either
+ * index, and each pair must name the same template — the read name up
+ * to its first space, less a trailing `/1` or `/2`. A name mismatch
+ * (reported at the first mismatched template, before any count check)
+ * or a mate-count mismatch is InvalidInput. Runs on either
  * engine: the mates go to it interleaved (r1_0, r2_0, r1_1, ...) for
  * per-read candidate lists, and resolvePair (swbase/paired.hh) picks
  * each template's placement downstream — pairing is a stage after
@@ -369,10 +372,11 @@ alignPairsToSam(const std::vector<FastaRecord> &ref,
  * opts.batchReads templates from the two mate readers, on the same
  * reader / aligner / writer driver as alignStreamToSam(). SAM bytes,
  * the ledger, the modelled report and armed engine-fault replay are
- * identical at any batch size and thread count. A mate-count
- * mismatch is found at the first batch whose two halves differ in
- * size and fails the run as InvalidInput after the earlier batches
- * were written.
+ * identical at any batch size and thread count. A mate-name mismatch
+ * is found in the batch that holds it, with the same status as the
+ * load-all run; a mate-count mismatch at the first batch whose two
+ * halves differ in size. Either fails the run as InvalidInput after
+ * the earlier batches were written.
  */
 StatusOr<PipelineResult>
 alignPairStreamToSam(const std::vector<FastaRecord> &ref,

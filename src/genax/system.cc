@@ -351,11 +351,12 @@ GenAxSystem::streamBatchCandidates(const std::vector<Seq> &reads,
         // The oracle's SeedIndex is the dense layout; snapshots hold
         // flat tables, so the oracle always rebuilds (the SeedIndex
         // equivalence keeps the output identical).
-        const SeedIndex index = _segments.buildSeedIndex(seg);
+        const SeedIndex index = _segments.buildSeedIndex(seg, st.width);
 #else
         const SeedIndex index =
-            _cfg.snapshot != nullptr ? _cfg.snapshot->segmentView(seg)
-                                     : _segments.buildSeedIndex(seg);
+            _cfg.snapshot != nullptr
+                ? _cfg.snapshot->segmentView(seg)
+                : _segments.buildSeedIndex(seg, st.width);
 #endif
 
         Cycle lane_cycles_before = 0;

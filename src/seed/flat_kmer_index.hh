@@ -17,6 +17,15 @@
  * hit lists (the equivalence suite diffs the two layouts
  * exhaustively).
  *
+ * The build is a counting sort of k-mers by key, the same job as the
+ * paper's index and position tables, run at the caller's thread
+ * width: positions are partitioned by top key bits and each bucket
+ * radix-sorted by key in place, which yields the postings and each
+ * key's extent; distinct keys are then CAS-inserted in parallel and
+ * every probe cluster is re-laid out in first-occurrence order. The
+ * result is byte for byte the table a serial insert in position
+ * order builds, at any width (flat_kmer_index.cc explains why).
+ *
  * lookupPrefetch() issues a software prefetch of a key's first probe
  * line so batched offset loops (SmemEngine's exact-match path) can
  * overlap the dependent loads of consecutive lookups.
@@ -46,8 +55,10 @@
 #ifndef GENAX_SEED_FLAT_KMER_INDEX_HH
 #define GENAX_SEED_FLAT_KMER_INDEX_HH
 
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/dna.hh"
@@ -73,10 +84,14 @@ class FlatKmerIndex
     /**
      * Build the table for a reference segment.
      *
-     * @param ref the segment's bases
-     * @param k   k-mer length (1..13; the paper uses 12)
+     * @param ref     the segment's bases
+     * @param k       k-mer length (1..13; the paper uses 12)
+     * @param threads build width on the process thread pool, as in
+     *                AlignerConfig (0 = all hardware threads). The
+     *                table is the same bytes at every width; below a
+     *                fixed k-mer count the build runs inline.
      */
-    FlatKmerIndex(const Seq &ref, u32 k);
+    FlatKmerIndex(const Seq &ref, u32 k, unsigned threads = 1);
 
     /** One occupied table slot: a key's postings extent. The layout
      *  is serialized verbatim into index snapshots — POD, 16 bytes,
@@ -282,6 +297,31 @@ class FlatKmerIndex
   private:
     FlatKmerIndex() = default; //!< storage bound by view()
 
+    /** std::allocator whose value-initialisation is a no-op: resize()
+     *  only reserves the pages, so the build's workers touch them
+     *  first. The build writes every element before any is read. */
+    template <typename T>
+    struct UninitAllocator : std::allocator<T>
+    {
+        using value_type = T;
+        UninitAllocator() = default;
+        template <typename U>
+        UninitAllocator(const UninitAllocator<U> &) noexcept
+        {}
+        template <typename U>
+        void
+        construct(U *) noexcept
+        {}
+        template <typename U, typename... Args>
+        void
+        construct(U *p, Args &&...args)
+        {
+            std::construct_at(p, std::forward<Args>(args)...);
+        }
+    };
+    template <typename T>
+    using UninitVector = std::vector<T, UninitAllocator<T>>;
+
     /** Point the lookup pointers at the owning vectors (after a
      *  build or a deep copy). */
     void
@@ -334,10 +374,10 @@ class FlatKmerIndex
     u32 _maxHits = 0;
     u64 _distinct = 0;
     u64 _mask = 0;
-    std::vector<Entry> _table;
-    std::vector<u32> _positions; //!< contiguous postings, per-key
-                                 //!< extents in ascending order
-    std::vector<u64> _filter;    //!< presence filter (may be empty)
+    UninitVector<Entry> _table;
+    UninitVector<u32> _positions; //!< contiguous postings, per-key
+                                  //!< extents in ascending order
+    std::vector<u64> _filter;     //!< presence filter (may be empty)
     // All accessors go through these; they alias the vectors above
     // when owning, or external snapshot storage when borrowed.
     const Entry *_tablePtr = nullptr;

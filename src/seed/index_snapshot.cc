@@ -164,7 +164,7 @@ checkFingerprint(const IndexFingerprint &got,
 Status
 IndexSnapshot::build(const std::string &path, const Seq &ref,
                      const std::vector<SnapshotContig> &contigs,
-                     const SegmentConfig &cfg)
+                     const SegmentConfig &cfg, unsigned threads)
 {
     GENAX_CHECK(cfg.k >= 1 && cfg.k <= 13,
                 "k out of supported range: ", cfg.k);
@@ -206,7 +206,7 @@ IndexSnapshot::build(const std::string &path, const Seq &ref,
     std::vector<SegMeta> segmeta(segs.count());
     for (u64 i = 0; i < segs.count(); ++i) {
         const Seq bases = segs.bases(i);
-        built.emplace_back(bases, cfg.k);
+        built.emplace_back(bases, cfg.k, threads);
         const FlatKmerIndex &idx = built.back();
         SegMeta &m = segmeta[i];
         m = SegMeta{};

@@ -93,10 +93,12 @@ class IndexSnapshot
      * first (O(reference) peak — acceptable for the modelled genome
      * sizes; streaming section emission is a documented follow-up).
      * `contigs` describe the concatenated layout for SAM headers.
+     * `threads` is each segment build's width (0 = all hardware
+     * threads); the file is the same bytes at every width.
      */
     static Status build(const std::string &path, const Seq &ref,
                         const std::vector<SnapshotContig> &contigs,
-                        const SegmentConfig &cfg);
+                        const SegmentConfig &cfg, unsigned threads = 0);
 
     /** Open and fully validate a snapshot (mmap preferred; owned
      *  read on mmap failure). Corruption is InvalidInput; OS trouble

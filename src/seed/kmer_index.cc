@@ -6,7 +6,7 @@
 
 namespace genax {
 
-KmerIndex::KmerIndex(const Seq &ref, u32 k)
+KmerIndex::KmerIndex(const Seq &ref, u32 k, unsigned)
     : _k(k), _segLen(ref.size())
 {
     GENAX_CHECK(k >= 1 && k <= 13, "k out of supported range: ", k);

@@ -33,8 +33,11 @@ class KmerIndex
      *
      * @param ref the segment's bases
      * @param k   k-mer length (1..13; the paper uses 12)
+     * The width argument is accepted for parity with FlatKmerIndex
+     * (so either layout builds behind SeedIndex) and ignored: the
+     * dense build is serial.
      */
-    KmerIndex(const Seq &ref, u32 k);
+    KmerIndex(const Seq &ref, u32 k, unsigned threads = 1);
 
     /** Sorted occurrence positions of a packed k-mer. */
     std::span<const u32>

@@ -565,6 +565,74 @@ TEST(Determinism, PairedIdenticalUnderFaultInjection)
     }
 }
 
+/** FASTQ text of mate `mate` (1 or 2) for templates t1..t14 of the
+ *  paired workload, named `t<i>/<mate>`, with a quality string one
+ *  base short (a malformed record the reader skips) at template
+ *  `bad`. */
+std::string
+mateFastq(const std::vector<FastqRecord> &reads, int mate, u64 bad)
+{
+    std::string text;
+    for (u64 t = 1; t <= 14; ++t) {
+        const FastqRecord &r = reads[t - 1];
+        std::string qual(r.seq.size(), 'I');
+        if (t == bad)
+            qual.pop_back();
+        text += "@t" + std::to_string(t) + "/" + std::to_string(mate) +
+                "\n" + decode(r.seq) + "\n+\n" + qual + "\n";
+    }
+    return text;
+}
+
+// One skipped record in each mate file, at different templates, keeps
+// the counts equal but shifts every template in between onto its
+// neighbour's mate. The run must be refused at the first mismatched
+// template, with the same status at every batch split.
+TEST(Determinism, PairedMateNameMismatchRefusedAtAnyBatch)
+{
+    const PairedWorkload w = makePairedWorkload();
+    const std::string fq1 = mateFastq(w.reads1, 1, 5);
+    const std::string fq2 = mateFastq(w.reads2, 2, 10);
+    ReaderOptions ropts;
+    ropts.maxMalformed = 10;
+    for (const auto engine : {PipelineOptions::Engine::Software,
+                              PipelineOptions::Engine::GenAx}) {
+        for (const unsigned threads : {1u, 4u}) {
+            for (const u64 batch : {0u, 1u, 7u, 64u}) {
+                SCOPED_TRACE(std::string(engineName(engine)) +
+                             " threads " + std::to_string(threads) +
+                             " batch " + std::to_string(batch));
+                PipelineOptions opts;
+                opts.engine = engine;
+                opts.segments = 6;
+                opts.threads = threads;
+                opts.batchReads = batch;
+                std::istringstream in1(fq1), in2(fq2);
+                FastqReader reader1(in1, ropts), reader2(in2, ropts);
+                std::ostringstream sink;
+                const auto res = [&]() -> StatusOr<PipelineResult> {
+                    if (batch > 0)
+                        return alignPairStreamToSam(w.ref, reader1, reader2,
+                                                    sink, opts);
+                    GENAX_TRY_ASSIGN(const auto r1,
+                                     reader1.nextBatch(~u64{0}));
+                    GENAX_TRY_ASSIGN(const auto r2,
+                                     reader2.nextBatch(~u64{0}));
+                    return alignPairsToSam(w.ref, r1, r2, sink, opts);
+                }();
+                ASSERT_FALSE(res.ok());
+                EXPECT_EQ(res.status().code(), StatusCode::InvalidInput);
+                EXPECT_EQ(res.status().message(),
+                          "mate names differ at template 5: 't6/1' vs "
+                          "'t5/2' (skipped malformed records can "
+                          "desynchronize mates)");
+                EXPECT_EQ(sink.str().find("t6/1"), std::string::npos);
+                EXPECT_EQ(sink.str().find("t5/2"), std::string::npos);
+            }
+        }
+    }
+}
+
 TEST(Determinism, PairedSnapshotMatchesRebuild)
 {
     // A paired GenAx run attached to an index snapshot is the rebuild

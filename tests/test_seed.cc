@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "common/faultinject.hh"
 #include "common/rng.hh"
@@ -226,6 +229,161 @@ TEST(FlatKmerIndex, ShortReferenceHandled)
     EXPECT_EQ(flat.lookupCount(0), 0u);
     EXPECT_EQ(flat.distinctKmers(), 0u);
     EXPECT_EQ(flat.positionTableBytes(), 0u);
+}
+
+// The serial two-pass build the parallel sort-based build replaced,
+// kept here only as the oracle: pass 1 upserts every k-mer's count in
+// position order (so keys enter the table in first-occurrence order),
+// extents are assigned in ascending key order, and pass 2 fills the
+// postings in position order.
+struct SerialFlatTables
+{
+    std::vector<FlatKmerIndex::Entry> table;
+    std::vector<u32> positions;
+    u64 distinct = 0;
+    u32 maxHits = 0;
+    std::vector<u64> filter;
+};
+
+u64
+serialSlotOf(u64 key, u64 mask)
+{
+    u64 h = key + kFlatIndexHashSeed;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return (h ^ (h >> 31)) & mask;
+}
+
+SerialFlatTables
+serialFlatBuild(const Seq &ref, u32 k)
+{
+    using Entry = FlatKmerIndex::Entry;
+    SerialFlatTables o;
+    if (ref.size() < k) {
+        o.table.assign(2, Entry{});
+        o.filter = FlatKmerIndex::presenceFilterFor(0, k);
+        return o;
+    }
+    const u64 kmers = ref.size() - k + 1;
+    const u64 slots = std::bit_ceil(std::max<u64>(16, 2 * kmers));
+    const u64 mask = slots - 1;
+    o.table.assign(slots, Entry{});
+    const auto key_at = [&](u64 p) {
+        u64 key = 0;
+        for (u32 i = 0; i < k; ++i)
+            key |= static_cast<u64>(ref[p + i] & 3) << (2 * i);
+        return key;
+    };
+    for (u64 p = 0; p < kmers; ++p) {
+        const u64 key = key_at(p);
+        u64 slot = serialSlotOf(key, mask);
+        for (;;) {
+            Entry &e = o.table[slot];
+            if (e.key == key) {
+                ++e.count;
+                break;
+            }
+            if (e.key == FlatKmerIndex::kEmptyKey) {
+                e = Entry{key, 0, 1};
+                ++o.distinct;
+                break;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+    o.filter = FlatKmerIndex::presenceFilterFor(o.distinct, k);
+    std::vector<u64> occupied;
+    for (u64 s = 0; s < slots; ++s) {
+        if (o.table[s].key == FlatKmerIndex::kEmptyKey)
+            continue;
+        occupied.push_back(o.table[s].key << 32 | s);
+        if (!o.filter.empty())
+            FlatKmerIndex::presenceFilterAdd(o.filter, o.table[s].key);
+    }
+    std::sort(occupied.begin(), occupied.end());
+    u32 offset = 0;
+    for (const u64 packed : occupied) {
+        Entry &e = o.table[static_cast<u32>(packed)];
+        e.offset = offset;
+        offset += e.count;
+        o.maxHits = std::max(o.maxHits, e.count);
+        e.count = 0;
+    }
+    o.positions.assign(kmers, 0);
+    for (u64 p = 0; p < kmers; ++p) {
+        const u64 key = key_at(p);
+        u64 slot = serialSlotOf(key, mask);
+        while (o.table[slot].key != key)
+            slot = (slot + 1) & mask;
+        Entry &e = o.table[slot];
+        o.positions[e.offset + e.count++] = static_cast<u32>(p);
+    }
+    return o;
+}
+
+void
+expectSameTables(const FlatKmerIndex &got, const SerialFlatTables &want,
+                 const std::string &what)
+{
+    const auto table = got.tableSpan();
+    ASSERT_EQ(table.size(), want.table.size()) << what;
+    EXPECT_EQ(std::memcmp(table.data(), want.table.data(),
+                          table.size_bytes()),
+              0)
+        << what;
+    const auto positions = got.positionsSpan();
+    EXPECT_TRUE(std::equal(positions.begin(), positions.end(),
+                           want.positions.begin(), want.positions.end()))
+        << what;
+    EXPECT_EQ(got.distinctKmers(), want.distinct) << what;
+    EXPECT_EQ(got.maxHitListSize(), want.maxHits) << what;
+    const auto filter = got.presenceFilterSpan();
+    EXPECT_TRUE(std::equal(filter.begin(), filter.end(),
+                           want.filter.begin(), want.filter.end()))
+        << what;
+}
+
+TEST(FlatKmerIndex, ParallelBuildMatchesSerialReference)
+{
+    struct Case
+    {
+        std::string name;
+        Seq ref;
+        u32 k;
+    };
+    std::vector<Case> cases;
+    Rng rng(764);
+    cases.push_back({"shorter than k", encode("ACGTACG"), 8});
+    cases.push_back({"k = 1", randomSeq(rng, 100000), 1});
+    cases.push_back({"k = 13", randomSeq(rng, 200000), 13});
+    cases.push_back({"all-A homopolymer", Seq(100000, kBaseA), 12});
+    RefGenConfig repeats; // 5 % of the genome is repeat copies
+    repeats.length = 1 << 20;
+    repeats.seed = 765;
+    cases.push_back({"repeat genome", generateReference(repeats), 12});
+    // 100,003 k-mers split into 4 * width chunks leaves a short last
+    // chunk at every width above 1.
+    cases.push_back({"odd length", randomSeq(rng, 100014), 12});
+    RefGenConfig segment;
+    segment.length = 512 * 1024;
+    segment.seed = 766;
+    cases.push_back({"selective segment", generateReference(segment), 12});
+
+    for (const Case &c : cases) {
+        const SerialFlatTables want = serialFlatBuild(c.ref, c.k);
+        if (c.name == "selective segment") {
+            ASSERT_FALSE(want.filter.empty());
+        }
+        if (c.name == "all-A homopolymer") {
+            ASSERT_EQ(want.distinct, 1u);
+        }
+        for (const unsigned width : {1u, 2u, 3u, 4u, 7u, 0u}) {
+            const FlatKmerIndex got(c.ref, c.k, width);
+            expectSameTables(got, want,
+                             c.name + " at width " +
+                                 std::to_string(width));
+        }
+    }
 }
 
 // --------------------------------------------------------------- CAM

@@ -438,6 +438,32 @@ TEST(IndexSnapshot, SegmentFiltersMatchOwnedBitForBit)
     fs::remove_all(dir);
 }
 
+TEST(IndexSnapshot, BuildIsByteIdenticalAtAnyWidth)
+{
+    // Segments of ~256 kbp build on the pool at width 4 (smaller
+    // ones build inline), so the two files come from different
+    // insertion orders and must still agree byte for byte.
+    const fs::path dir = scratchDir("genax_snap_width");
+    Rng rng(909);
+    const Seq ref = randomSeq(rng, 1 << 20);
+    SegmentConfig cfg;
+    cfg.k = 12;
+    cfg.segmentCount = 4;
+    cfg.overlap = 128;
+    std::vector<std::string> bytes;
+    for (const unsigned width : {1u, 4u}) {
+        const std::string path =
+            (dir / ("w" + std::to_string(width) + ".gxs")).string();
+        ASSERT_TRUE(IndexSnapshot::build(path, ref, {{"c", 0, ref.size()}},
+                                         cfg, width)
+                        .ok());
+        bytes.push_back(slurp(path));
+    }
+    EXPECT_FALSE(bytes[0].empty());
+    EXPECT_TRUE(bytes[0] == bytes[1]);
+    fs::remove_all(dir);
+}
+
 TEST(IndexSnapshot, BuildOpenRoundTrip)
 {
     const fs::path dir = scratchDir("genax_snap_roundtrip");

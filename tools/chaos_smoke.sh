@@ -222,6 +222,37 @@ if [[ -x "$index_bin" && -f "$tmp/snap.gxs" ]]; then
     check_ledger "$tmp/pe_stream.log" "$tmp/pe_stream.sam"
 fi
 
+# 5c. Mate-name leg: a quality-length error at template 5 of R1 and
+#     at template 10 of R2 keeps the mate counts equal but would pair
+#     t6/1 with t5/2. The run must be refused (exit 3) at every batch
+#     split, naming the template, and no mis-paired record written.
+for ((r = 1; r <= 14; r++)); do
+    q="$qual"
+    ((r == 5)) && q="${qual:1}"
+    printf '@t%d/1\n%s\n+\n%s\n' "$r" "${seq:$((r * 50)):80}" "$q"
+done >"$tmp/shift1.fq"
+for ((r = 1; r <= 14; r++)); do
+    q="$qual"
+    ((r == 10)) && q="${qual:1}"
+    mate=$(rev <<<"${seq:$((r * 50 + 220)):80}" | tr ACGT TGCA)
+    printf '@t%d/2\n%s\n+\n%s\n' "$r" "$mate" "$q"
+done >"$tmp/shift2.fq"
+for batch in 0 1 7; do
+    status=$(run "$tmp/shift$batch.log" --ref "$tmp/ref.fa" \
+        --reads "$tmp/shift1.fq" --reads2 "$tmp/shift2.fq" \
+        --out "$tmp/shift$batch.sam" --k 11 --max-malformed 10 \
+        --batch-reads "$batch")
+    ((status == 3)) ||
+        err "mate-name mismatch at batch $batch: exit $status, want 3"
+    grep -q "mate names differ at template 5: 't6/1' vs 't5/2'" \
+        "$tmp/shift$batch.log" ||
+        err "no mate-name diagnostic at batch $batch"
+    if [[ -f "$tmp/shift$batch.sam" ]] &&
+        grep -q -e '^t6/1' -e '^t5/2' "$tmp/shift$batch.sam"; then
+        err "mis-paired t6/1 + t5/2 written at batch $batch"
+    fi
+done
+
 # 6. Daemon-kill leg: SIGKILL genax_serve while a client's request is
 #    parked in the batcher. The client must fail cleanly (exit 3, no
 #    partial SAM, no hang — the checksummed framing means a torn

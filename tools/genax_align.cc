@@ -51,7 +51,9 @@ printHelp(const char *prog, std::FILE *to)
         "  --ref FILE         reference FASTA (required)\n"
         "  --reads FILE       reads FASTQ (required)\n"
         "  --reads2 FILE      mate FASTQ; enables paired-end mode\n"
-        "                     (either engine)\n"
+        "                     (either engine). Record i of each file\n"
+        "                     must name the same template (name up\n"
+        "                     to a trailing /1 or /2), else exit 3\n"
         "  --out FILE         output SAM (required)\n"
         "  --engine genax|sw  accelerator model or software baseline\n"
         "                     (default genax)\n"
